@@ -1,6 +1,6 @@
 // Microbenchmarks for the SLEDs hot paths: cache ops, kernel SLED scans,
-// picker stepping, the Horspool search, and FITS pixel codecs. These bound
-// the CPU overhead the SLEDs machinery adds per I/O.
+// picker stepping, wc's count, the Horspool search, and FITS pixel codecs.
+// These bound the CPU overhead the SLEDs machinery adds per I/O.
 //
 // Two layers:
 //  * A wall-clock suite (std::chrono, real time — NOT the simulated clock)
@@ -14,6 +14,8 @@
 #include <cstdio>
 #include <limits>
 #include <memory>
+#include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -26,7 +28,9 @@
 #include "src/fits/fits.h"
 #include "src/fs/extent_file_system.h"
 #include "src/kernel/sim_kernel.h"
+#include "src/progs/program.h"
 #include "src/sleds/picker.h"
+#include "src/workload/text_gen.h"
 
 namespace sled {
 namespace {
@@ -111,19 +115,73 @@ void BM_PickerFullWalk(benchmark::State& state) {
 }
 BENCHMARK(BM_PickerFullWalk)->Arg(1024)->Arg(8192);
 
-void BM_HorspoolSearch(benchmark::State& state) {
+// 1 MiB of generator text (the wc and grep figures' input), read back
+// through a kernel.
+std::string GeneratedText() {
+  constexpr int64_t kBytes = 1 << 20;
+  KernelConfig config;
+  config.cache.capacity_pages = 2 * kBytes / kPageSize;
+  SimKernel kernel(config);
+  auto fs = std::make_unique<ExtFs>("ext2", std::make_unique<DiskDevice>(DiskDeviceConfig{}));
+  SLED_CHECK(kernel.Mount("/", std::move(fs)).ok(), "mount failed");
+  Process& proc = kernel.CreateProcess("gen");
   Rng rng(1);
-  std::string haystack;
-  haystack.reserve(1 << 20);
-  for (int i = 0; i < (1 << 20); ++i) {
-    haystack.push_back(static_cast<char>('a' + rng.Uniform(0, 25)));
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(HorspoolSearchAll(haystack, "XNEEDLEX"));
-  }
-  state.SetBytesProcessed(state.iterations() * (1 << 20));
+  SLED_CHECK(GenerateTextFile(kernel, proc, "/text", kBytes, rng).ok(), "generation failed");
+  const int fd = kernel.Open(proc, "/text").value();
+  std::string text(static_cast<size_t>(kBytes), '\0');
+  SLED_CHECK(kernel.Read(proc, fd, std::span<char>(text.data(), text.size())).value() == kBytes,
+             "short read");
+  return text;
 }
-BENCHMARK(BM_HorspoolSearch);
+
+// Reports ns/byte: the counter's value is bytes * 1e-9 per iteration, and
+// inverted as a rate it reads seconds / (bytes * 1e-9).
+void SetNsPerByte(benchmark::State& state, size_t bytes) {
+  state.counters["ns_per_byte"] =
+      benchmark::Counter(1e-9 * static_cast<double>(bytes),
+                         benchmark::Counter::kIsIterationInvariantRate |
+                             benchmark::Counter::kInvert);
+}
+
+// wc's counting loop (WcApp and the kCount program) over the apps' 64 KiB
+// buffers of generator text.
+void BM_WcCount(benchmark::State& state) {
+  const std::string text = GeneratedText();
+  const std::string_view view(text);
+  for (auto _ : state) {
+    WcCounts total;
+    for (size_t at = 0; at < view.size(); at += kDefaultAppBuffer) {
+      const WcCounts c = CountWcChunk(view.substr(at, kDefaultAppBuffer), /*in_word=*/false);
+      total.lines += c.lines;
+      total.words += c.words;
+    }
+    benchmark::DoNotOptimize(total);
+  }
+  SetNsPerByte(state, text.size());
+}
+BENCHMARK(BM_WcCount);
+
+// Horspool over 1 MiB of generator text, either as one haystack (arg 0) or
+// line by line through one searcher, the way grep scans (arg kGenLineLen).
+void BM_HorspoolSearch(benchmark::State& state) {
+  const std::string text = GeneratedText();
+  const std::string_view view(text);
+  const size_t line = static_cast<size_t>(state.range(0));
+  for (auto _ : state) {
+    if (line == 0) {
+      benchmark::DoNotOptimize(HorspoolSearchAll(view, kGrepMarker));
+      continue;
+    }
+    const HorspoolSearcher searcher(kGrepMarker);
+    size_t found = 0;
+    for (size_t at = 0; at < view.size(); at += line) {
+      found += searcher.Find(view.substr(at, line)) != std::string_view::npos;
+    }
+    benchmark::DoNotOptimize(found);
+  }
+  SetNsPerByte(state, text.size());
+}
+BENCHMARK(BM_HorspoolSearch)->Arg(0)->Arg(kGenLineLen);
 
 void BM_FitsPixelCodec(benchmark::State& state) {
   const int bitpix = static_cast<int>(state.range(0));

@@ -30,13 +30,28 @@ Result<FimgbinResult> FimgbinApp::Run(SimKernel& kernel, Process& process, std::
   SLED_RETURN_IF_ERROR(FitsScanElements(
       kernel, process, in_fd, header, options.use_sleds, options.buffer_elements, options.costs,
       [&](int64_t first, std::span<const double> values) {
-        for (size_t i = 0; i < values.size(); ++i) {
-          const int64_t idx = first + static_cast<int64_t>(i);
-          const int64_t x = idx % in_w;
-          const int64_t y = idx / in_w;
-          const int64_t ox = x / options.boxcar;
-          const int64_t oy = y / options.boxcar;
-          sums[static_cast<size_t>(oy * out_w + ox)] += values[i];
+        // Divide once per run, then step: the output column advances every
+        // `boxcar` pixels and the output row every `boxcar` input rows. Runs
+        // may start mid-row (SLEDs mode).
+        const int64_t box = options.boxcar;
+        const int64_t x = first % in_w;
+        const int64_t y = first / in_w;
+        int64_t x_in_box = x % box;
+        int64_t y_in_box = y % box;
+        int64_t out_x = x / box;
+        int64_t out_row = y / box * out_w;
+        for (const double v : values) {
+          sums[static_cast<size_t>(out_row + out_x)] += v;
+          if (++x_in_box == box) {
+            x_in_box = 0;
+            if (++out_x == out_w) {
+              out_x = 0;
+              if (++y_in_box == box) {
+                y_in_box = 0;
+                out_row += out_w;
+              }
+            }
+          }
         }
         kernel.ChargeAppCpu(process,
                             options.costs.image_per_element *

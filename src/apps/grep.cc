@@ -1,7 +1,6 @@
 #include "src/apps/grep.h"
 
 #include <algorithm>
-#include <array>
 #include <deque>
 #include <memory>
 
@@ -9,22 +8,33 @@
 
 namespace sled {
 
+HorspoolSearcher::HorspoolSearcher(std::string_view needle) : needle_(needle) {
+  shift_.fill(needle.size());
+  for (size_t i = 0; i + 1 < needle.size(); ++i) {
+    shift_[static_cast<uint8_t>(needle[i])] = needle.size() - 1 - i;
+  }
+}
+
+size_t HorspoolSearcher::Find(std::string_view haystack, size_t from) const {
+  const size_t n = needle_.size();
+  if (n == 0) {
+    return std::string_view::npos;
+  }
+  for (size_t pos = from; pos + n <= haystack.size();
+       pos += shift_[static_cast<uint8_t>(haystack[pos + n - 1])]) {
+    if (haystack.compare(pos, n, needle_) == 0) {
+      return pos;
+    }
+  }
+  return std::string_view::npos;
+}
+
 std::vector<size_t> HorspoolSearchAll(std::string_view haystack, std::string_view needle) {
   std::vector<size_t> hits;
-  if (needle.empty() || haystack.size() < needle.size()) {
-    return hits;
-  }
-  std::array<size_t, 256> shift;
-  shift.fill(needle.size());
-  for (size_t i = 0; i + 1 < needle.size(); ++i) {
-    shift[static_cast<uint8_t>(needle[i])] = needle.size() - 1 - i;
-  }
-  size_t pos = 0;
-  while (pos + needle.size() <= haystack.size()) {
-    if (haystack.compare(pos, needle.size(), needle) == 0) {
-      hits.push_back(pos);
-    }
-    pos += shift[static_cast<uint8_t>(haystack[pos + needle.size() - 1])];
+  const HorspoolSearcher searcher(needle);
+  for (size_t pos = searcher.Find(haystack); pos != std::string_view::npos;
+       pos = searcher.Find(haystack, pos + 1)) {
+    hits.push_back(pos);
   }
   return hits;
 }
@@ -38,7 +48,7 @@ class RunScanner {
  public:
   RunScanner(std::string_view pattern, const GrepOptions& options,
              std::vector<GrepMatch>* matches)
-      : pattern_(pattern), options_(options), matches_(matches) {}
+      : searcher_(pattern), options_(options), matches_(matches) {}
 
   // Begin a new contiguous run at `offset`. Flushes nothing: callers must
   // FinishRun() first.
@@ -115,7 +125,7 @@ class RunScanner {
           }
         }
       }
-      if (!HorspoolSearchAll(line, pattern_).empty()) {
+      if (searcher_.Find(line) != std::string_view::npos) {
         GrepMatch m;
         m.line_offset = pending_start_ + static_cast<int64_t>(line_start);
         // Local line index within this run; converted to a global number
@@ -146,7 +156,7 @@ class RunScanner {
     return false;
   }
 
-  std::string_view pattern_;
+  HorspoolSearcher searcher_;
   const GrepOptions& options_;
   std::vector<GrepMatch>* matches_;
   int64_t run_start_ = 0;

@@ -13,6 +13,7 @@
 #ifndef SLEDS_SRC_APPS_GREP_H_
 #define SLEDS_SRC_APPS_GREP_H_
 
+#include <array>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -66,8 +67,23 @@ class GrepApp {
                                 std::string_view pattern, const GrepOptions& options);
 };
 
-// Boyer-Moore-Horspool search over `haystack` (exposed for tests). Returns
-// match positions.
+// Boyer-Moore-Horspool search for one needle. The shift table is built once,
+// here, so a scan over many lines keeps one searcher. The needle's bytes must
+// outlive the searcher.
+class HorspoolSearcher {
+ public:
+  explicit HorspoolSearcher(std::string_view needle);
+
+  // Position of the first occurrence at or after `from`, or npos. An empty
+  // needle matches nothing.
+  size_t Find(std::string_view haystack, size_t from = 0) const;
+
+ private:
+  std::string_view needle_;
+  std::array<size_t, 256> shift_;
+};
+
+// Every match position of `needle` in `haystack`, overlapping ones included.
 std::vector<size_t> HorspoolSearchAll(std::string_view haystack, std::string_view needle);
 
 }  // namespace sled

@@ -1,17 +1,13 @@
 #include "src/apps/wc.h"
 
 #include <algorithm>
-#include <cctype>
-#include <map>
 #include <vector>
 
+#include "src/progs/program.h"
 #include "src/sleds/picker.h"
 
 namespace sled {
 namespace {
-
-bool IsSpace(char c) { return c == ' ' || c == '\t' || c == '\n' || c == '\r' || c == '\v' ||
-                              c == '\f'; }
 
 // Counts for one contiguous chunk, processed in isolation.
 struct ChunkCount {
@@ -24,24 +20,15 @@ struct ChunkCount {
 };
 
 ChunkCount CountChunk(int64_t offset, std::string_view data) {
+  const WcCounts counts = CountWcChunk(data, /*in_word=*/false);
   ChunkCount c;
   c.offset = offset;
   c.length = static_cast<int64_t>(data.size());
-  bool in_word = false;
-  for (char ch : data) {
-    if (ch == '\n') {
-      ++c.lines;
-    }
-    if (IsSpace(ch)) {
-      in_word = false;
-    } else if (!in_word) {
-      in_word = true;
-      ++c.words;
-    }
-  }
+  c.lines = counts.lines;
+  c.words = counts.words;
   if (!data.empty()) {
-    c.starts_in_word = !IsSpace(data.front());
-    c.ends_in_word = !IsSpace(data.back());
+    c.starts_in_word = !IsWcSpace(data.front());
+    c.ends_in_word = !IsWcSpace(data.back());
   }
   return c;
 }

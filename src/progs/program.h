@@ -223,6 +223,24 @@ class CompletionProgram {
 double ProgDecodeBe(const char* in, int bitpix);
 int64_t ProgElementSize(int bitpix);
 
+// wc's whitespace class: ' ', '\t', '\n', '\v', '\f', '\r'. Bytes >= 0x80 are
+// never space, whether or not `char` is signed.
+constexpr bool IsWcSpace(char c) {
+  const auto b = static_cast<uint8_t>(c);
+  return b == ' ' || static_cast<uint8_t>(b - '\t') < 5;
+}
+
+struct WcCounts {
+  int64_t lines = 0;  // '\n' bytes
+  int64_t words = 0;  // word starts
+};
+
+// wc's count over one chunk: the one loop behind both WcApp and the kCount
+// program. A word start is a non-space byte whose previous byte is a space;
+// the chunk's first byte is one only when `in_word` is false, i.e. when the
+// byte before the chunk was a space or there was none.
+WcCounts CountWcChunk(std::string_view data, bool in_word);
+
 }  // namespace sled
 
 #endif  // SLEDS_SRC_PROGS_PROGRAM_H_

@@ -3,8 +3,10 @@
 // *identical answers* to plain mode, only faster.
 #include <gtest/gtest.h>
 
+#include <bitset>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "src/apps/file_info.h"
 #include "src/apps/find.h"
@@ -13,6 +15,7 @@
 #include "src/common/rng.h"
 #include "src/device/disk_device.h"
 #include "src/fs/extent_file_system.h"
+#include "src/progs/program.h"
 #include "src/workload/testbed.h"
 #include "src/workload/text_gen.h"
 
@@ -41,8 +44,12 @@ void WriteFile(SimKernel& k, Process& p, const std::string& path, const std::str
   ASSERT_TRUE(k.Close(p, fd).ok());
 }
 
+bool NaiveIsSpace(char c) {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\r' || c == '\v' || c == '\f';
+}
+
 // Reference word counter (the classic wc state machine, single pass).
-WcResult NaiveWc(const std::string& data) {
+WcResult NaiveWc(std::string_view data) {
   WcResult r;
   r.bytes = static_cast<int64_t>(data.size());
   bool in_word = false;
@@ -50,8 +57,7 @@ WcResult NaiveWc(const std::string& data) {
     if (c == '\n') {
       ++r.lines;
     }
-    const bool space = c == ' ' || c == '\t' || c == '\n' || c == '\r' || c == '\v' || c == '\f';
-    if (space) {
+    if (NaiveIsSpace(c)) {
       in_word = false;
     } else if (!in_word) {
       in_word = true;
@@ -128,6 +134,40 @@ TEST_P(WcPropertyTest, SledsAndPlainAgree) {
 INSTANTIATE_TEST_SUITE_P(Sweep, WcPropertyTest,
                          ::testing::Combine(::testing::Values(1024, 4096, 65536, 100000),
                                             ::testing::Values(1u, 7u, 99u)));
+
+// The counting loop WcApp and the kCount program share, against the state
+// machine: every byte value (the six whitespace bytes, and bytes >= 0x80 seen
+// through a signed char), lengths across the 64-byte block edge, and every
+// split point with the in_word carry a sequential reader passes along.
+TEST(WcCountTest, SharedCounterMatchesNaiveAtEverySplit) {
+  constexpr std::string_view kSpaces = " \t\n\v\f\r";
+  Rng rng(12);
+  std::bitset<256> seen;
+  for (int64_t len = 0; len <= 200; ++len) {
+    std::string data;
+    for (int64_t i = 0; i < len; ++i) {
+      const char c = rng.Bernoulli(0.3)
+                         ? kSpaces[static_cast<size_t>(rng.Uniform(0, 5))]
+                         : static_cast<char>(static_cast<uint8_t>(rng.Uniform(0, 255)));
+      data.push_back(c);
+      seen.set(static_cast<uint8_t>(c));
+    }
+    const WcResult expected = NaiveWc(data);
+    for (size_t split = 0; split <= data.size(); ++split) {
+      const std::string_view head = std::string_view(data).substr(0, split);
+      const std::string_view tail = std::string_view(data).substr(split);
+      const bool carry = !head.empty() && !NaiveIsSpace(head.back());
+      const WcCounts a = CountWcChunk(head, /*in_word=*/false);
+      const WcCounts b = CountWcChunk(tail, carry);
+      ASSERT_EQ(a.lines + b.lines, expected.lines) << "len " << len << " split " << split;
+      ASSERT_EQ(a.words + b.words, expected.words) << "len " << len << " split " << split;
+    }
+    // A carry into the first byte removes exactly the word it would start.
+    const bool starts_word = !data.empty() && !NaiveIsSpace(data.front());
+    EXPECT_EQ(CountWcChunk(data, /*in_word=*/true).words, expected.words - (starts_word ? 1 : 0));
+  }
+  EXPECT_TRUE(seen.all());
+}
 
 TEST(GrepAppTest, FindsAllMatchesInOrder) {
   World w = MakeWorld();

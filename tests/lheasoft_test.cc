@@ -4,6 +4,9 @@
 #include <cmath>
 #include <memory>
 #include <numeric>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "src/apps/fimgbin.h"
 #include "src/apps/fimhisto.h"
@@ -161,6 +164,90 @@ TEST(FimgbinTest, SledsModeProducesIdenticalOutput) {
   const auto img_a = FitsReadImage(*w.kernel, *w.proc, "/out_a.fits").value();
   const auto img_b = FitsReadImage(*w.kernel, *w.proc, "/out_b.fits").value();
   EXPECT_EQ(img_a.pixels, img_b.pixels);
+}
+
+std::string ReadFileBytes(World& w, const std::string& path) {
+  const int fd = w.kernel->Open(*w.proc, path).value();
+  std::string out(static_cast<size_t>(w.kernel->Fstat(*w.proc, fd).value().size), '\0');
+  EXPECT_EQ(w.kernel->Read(*w.proc, fd, std::span<char>(out.data(), out.size())).value(),
+            static_cast<int64_t>(out.size()));
+  EXPECT_TRUE(w.kernel->Close(*w.proc, fd).ok());
+  return out;
+}
+
+// Reference fimgbin: each pixel's output cell worked out from its own index,
+// over the element runs in the order FitsScanElements delivers them. Returns
+// whether some run started mid-row.
+bool WriteNaiveFimgbin(World& w, const std::string& input, const std::string& output,
+                       const FimgbinOptions& options) {
+  const int fd = w.kernel->Open(*w.proc, input).value();
+  const FitsHeader header = FitsReadHeader(*w.kernel, *w.proc, fd).value();
+  const int64_t in_w = header.naxis[0];
+  const int64_t out_w = in_w / options.boxcar;
+  const int64_t out_h = header.naxis[1] / options.boxcar;
+  std::vector<double> sums(static_cast<size_t>(out_w * out_h), 0.0);
+  bool mid_row = false;
+  EXPECT_TRUE(FitsScanElements(*w.kernel, *w.proc, fd, header, options.use_sleds,
+                               options.buffer_elements, options.costs,
+                               [&](int64_t first, std::span<const double> values) {
+                                 mid_row |= first % in_w != 0;
+                                 for (size_t i = 0; i < values.size(); ++i) {
+                                   const int64_t idx = first + static_cast<int64_t>(i);
+                                   const int64_t ox = idx % in_w / options.boxcar;
+                                   const int64_t oy = idx / in_w / options.boxcar;
+                                   sums[static_cast<size_t>(oy * out_w + ox)] += values[i];
+                                 }
+                               })
+                  .ok());
+  EXPECT_TRUE(w.kernel->Close(*w.proc, fd).ok());
+  FitsImage image;
+  image.header.bitpix = header.bitpix;
+  image.header.naxis = {out_w, out_h};
+  const double scale = 1.0 / (static_cast<double>(options.boxcar) * options.boxcar);
+  for (const double sum : sums) {
+    image.pixels.push_back(sum * scale);
+  }
+  EXPECT_TRUE(FitsWriteImage(*w.kernel, *w.proc, output, image).ok());
+  return mid_row;
+}
+
+// Output bytes equal the per-pixel reference on a non-square image whose
+// doubles do not sum exactly, so a wrong cell or a changed addition order
+// shows. A cached middle stripe makes SLEDs start with a run in mid-row.
+TEST(FimgbinTest, OutputBytesMatchPerPixelReference) {
+  World w = MakeWorld();
+  FitsImage image;
+  image.header.bitpix = -64;
+  image.header.naxis = {240, 180};
+  Rng rng(31);
+  for (int64_t i = 0; i < 240 * 180; ++i) {
+    image.pixels.push_back(rng.Normal(100.0, 20.0));
+  }
+  ASSERT_TRUE(FitsWriteImage(*w.kernel, *w.proc, "/in.fits", image).ok());
+  auto cache_middle_stripe = [&] {
+    w.kernel->DropCaches();
+    const int fd = w.kernel->Open(*w.proc, "/in.fits").value();
+    char b;
+    for (int64_t page = 30; page < 50; ++page) {
+      ASSERT_TRUE(w.kernel->Lseek(*w.proc, fd, page * kPageSize, Whence::kSet).ok());
+      ASSERT_TRUE(w.kernel->Read(*w.proc, fd, std::span<char>(&b, 1)).ok());
+    }
+    ASSERT_TRUE(w.kernel->Close(*w.proc, fd).ok());
+  };
+  for (const int boxcar : {2, 3}) {
+    for (const bool use_sleds : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "boxcar " << boxcar << " sleds " << use_sleds);
+      FimgbinOptions options;
+      options.boxcar = boxcar;
+      options.use_sleds = use_sleds;
+      options.buffer_elements = 1000;  // not a multiple of the row width
+      cache_middle_stripe();
+      ASSERT_TRUE(FimgbinApp::Run(*w.kernel, *w.proc, "/in.fits", "/out.fits", options).ok());
+      cache_middle_stripe();
+      EXPECT_TRUE(WriteNaiveFimgbin(w, "/in.fits", "/ref.fits", options));
+      EXPECT_EQ(ReadFileBytes(w, "/out.fits"), ReadFileBytes(w, "/ref.fits"));
+    }
+  }
 }
 
 TEST(FimgbinTest, RejectsIndivisibleDimensions) {

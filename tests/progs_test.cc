@@ -89,19 +89,29 @@ class ProgsModeTest : public ::testing::TestWithParam<IoMode> {};
 
 TEST_P(ProgsModeTest, WcProgramMatchesOracle) {
   World w = MakeWorld(GetParam());
-  const std::string data = MakeText(101, 48 * kPageSize + 1234);
-  WriteFile(*w.kernel, *w.proc, "/f.txt", data);
+  const int64_t size = 48 * kPageSize + 1234;
+  // Random bytes cover every byte value, and their long words cross chunk
+  // seams, so the program's in_word carry and the oracle's seam merge meet.
+  Rng rng(102);
+  std::string random_bytes;
+  for (int64_t i = 0; i < size; ++i) {
+    random_bytes.push_back(static_cast<char>(static_cast<uint8_t>(rng.Uniform(0, 255))));
+  }
+  WriteFile(*w.kernel, *w.proc, "/text", MakeText(101, size));
+  WriteFile(*w.kernel, *w.proc, "/bytes", random_bytes);
 
   WcOptions plain;
   plain.buffer_bytes = 3 * kPageSize;  // word seams off page boundaries
-  const WcResult oracle = WcApp::Run(*w.kernel, *w.proc, "/f.txt", plain).value();
-
   WcOptions prog = plain;
   prog.kernel_program = true;
-  // Warm cache (the oracle above populated it), then cold.
-  EXPECT_EQ(WcApp::Run(*w.kernel, *w.proc, "/f.txt", prog).value(), oracle);
-  w.kernel->DropCaches();
-  EXPECT_EQ(WcApp::Run(*w.kernel, *w.proc, "/f.txt", prog).value(), oracle);
+  for (const char* path : {"/text", "/bytes"}) {
+    SCOPED_TRACE(path);
+    const WcResult oracle = WcApp::Run(*w.kernel, *w.proc, path, plain).value();
+    // Warm cache (the oracle above populated it), then cold.
+    EXPECT_EQ(WcApp::Run(*w.kernel, *w.proc, path, prog).value(), oracle);
+    w.kernel->DropCaches();
+    EXPECT_EQ(WcApp::Run(*w.kernel, *w.proc, path, prog).value(), oracle);
+  }
 }
 
 TEST_P(ProgsModeTest, GrepProgramMatchesOracle) {
