@@ -1,5 +1,6 @@
 // Microbenchmarks for the SLEDs hot paths: cache ops, kernel SLED scans,
-// picker stepping, wc's count, the Horspool search, and FITS pixel codecs.
+// picker stepping, wc's count, the Horspool search, random draws and text
+// generation, and FITS pixel codecs.
 // These bound the CPU overhead the SLEDs machinery adds per I/O.
 //
 // Two layers:
@@ -14,6 +15,7 @@
 #include <cstdio>
 #include <limits>
 #include <memory>
+#include <random>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -24,6 +26,7 @@
 #include "src/cache/page_cache.h"
 #include "src/common/log.h"
 #include "src/common/rng.h"
+#include "src/common/units.h"
 #include "src/device/disk_device.h"
 #include "src/fits/fits.h"
 #include "src/fs/extent_file_system.h"
@@ -134,11 +137,12 @@ std::string GeneratedText() {
   return text;
 }
 
-// Reports ns/byte: the counter's value is bytes * 1e-9 per iteration, and
-// inverted as a rate it reads seconds / (bytes * 1e-9).
-void SetNsPerByte(benchmark::State& state, size_t bytes) {
-  state.counters["ns_per_byte"] =
-      benchmark::Counter(1e-9 * static_cast<double>(bytes),
+// Reports ns per `unit` as counter "ns_per_<unit>": the counter's value is
+// count * 1e-9 per iteration, and inverted as a rate it reads
+// seconds / (count * 1e-9).
+void SetNsPer(benchmark::State& state, const std::string& unit, size_t count) {
+  state.counters["ns_per_" + unit] =
+      benchmark::Counter(1e-9 * static_cast<double>(count),
                          benchmark::Counter::kIsIterationInvariantRate |
                              benchmark::Counter::kInvert);
 }
@@ -157,7 +161,7 @@ void BM_WcCount(benchmark::State& state) {
     }
     benchmark::DoNotOptimize(total);
   }
-  SetNsPerByte(state, text.size());
+  SetNsPer(state, "byte", text.size());
 }
 BENCHMARK(BM_WcCount);
 
@@ -179,9 +183,50 @@ void BM_HorspoolSearch(benchmark::State& state) {
     }
     benchmark::DoNotOptimize(found);
   }
-  SetNsPerByte(state, text.size());
+  SetNsPer(state, "byte", text.size());
 }
 BENCHMARK(BM_HorspoolSearch)->Arg(0)->Arg(kGenLineLen);
+
+// One letter draw (Uniform(0, 25), the text generator's inner step) per
+// count: arg 0 draws from Rng, arg 1 from std::mt19937_64 through the same
+// distribution, for comparison.
+void BM_RngDraw(benchmark::State& state) {
+  constexpr int kDraws = 4096;
+  auto run = [&](auto&& draw) {
+    for (auto _ : state) {
+      int64_t sum = 0;
+      for (int i = 0; i < kDraws; ++i) {
+        sum += draw();
+      }
+      benchmark::DoNotOptimize(sum);
+    }
+    SetNsPer(state, "draw", kDraws);
+  };
+  const uint64_t seed = static_cast<uint64_t>(state.range(1));
+  if (state.range(0) == 0) {
+    state.SetLabel("Rng");
+    Rng rng(seed);
+    run([&] { return rng.Uniform(0, 25); });
+  } else {
+    state.SetLabel("std::mt19937_64");
+    std::mt19937_64 engine(seed);
+    run([&] { return std::uniform_int_distribution<int64_t>(0, 25)(engine); });
+  }
+}
+BENCHMARK(BM_RngDraw)->Args({0, 1})->Args({1, 1});
+
+// The text generator's in-memory line fill over one 256 KiB write chunk.
+void BM_GenerateTextLines(benchmark::State& state) {
+  std::string buf(256 * kKiB, '\0');
+  Rng rng(static_cast<uint64_t>(state.range(0)));
+  for (auto _ : state) {
+    FillTextLines(buf, rng);
+    benchmark::DoNotOptimize(buf.data());
+    benchmark::ClobberMemory();
+  }
+  SetNsPer(state, "byte", buf.size());
+}
+BENCHMARK(BM_GenerateTextLines)->Arg(1);
 
 void BM_FitsPixelCodec(benchmark::State& state) {
   const int bitpix = static_cast<int>(state.range(0));

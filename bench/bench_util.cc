@@ -1,5 +1,6 @@
 #include "bench/bench_util.h"
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -51,14 +52,22 @@ SweepResult RunFigureSweep(const std::function<Testbed(uint64_t seed)>& make_tes
     SeriesPoint fault_point;
     time_point.x = static_cast<double>(size) / static_cast<double>(kMiB);
     fault_point.x = time_point.x;
+    // Host wall time of the two modes' preparation (testbed and input
+    // generation) and of their measured series, warm-up run included.
+    double prepare_s = 0;
+    double runs_s = 0;
     for (bool use_sleds : {false, true}) {
       ++seed;
+      const auto start = std::chrono::steady_clock::now();
       Testbed tb = make_testbed(seed);
       Rng rng(seed * 7919);
       auto per_run_setup = prepare(tb, size, rng);
+      const auto prepared = std::chrono::steady_clock::now();
       const MeasuredPoint point = RunWarmCacheSeries(
           tb, params.repeats, rng, per_run_setup,
           [&](SimKernel& k, Process& p) { run(k, p, use_sleds); });
+      prepare_s += std::chrono::duration<double>(prepared - start).count();
+      runs_s += std::chrono::duration<double>(std::chrono::steady_clock::now() - prepared).count();
       if (use_sleds) {
         time_point.with_sleds = point.seconds;
         fault_point.with_sleds = point.faults;
@@ -70,7 +79,8 @@ SweepResult RunFigureSweep(const std::function<Testbed(uint64_t seed)>& make_tes
     }
     result.time_points.push_back(time_point);
     result.fault_points.push_back(fault_point);
-    std::fprintf(stderr, "  [%4.0f MB done]\n", time_point.x);
+    std::fprintf(stderr, "  [%4.0f MB done: prepare %.2f s, runs %.2f s wall]\n", time_point.x,
+                 prepare_s, runs_s);
   }
   return result;
 }

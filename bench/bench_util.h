@@ -46,7 +46,9 @@ struct SweepResult {
 
 // The standard experiment: for each size and each mode, build a fresh
 // testbed, prepare the workload, discard one warm-up run, then measure
-// `repeats` runs in the same mode.
+// `repeats` runs in the same mode. After each size, stderr gets the host wall
+// time spent preparing (testbed and input generation) and running, both
+// modes together.
 SweepResult RunFigureSweep(const std::function<Testbed(uint64_t seed)>& make_testbed,
                            const PrepareFn& prepare, const AppRunnerFn& run,
                            const BenchParams& params, uint64_t seed_base = 1000);

@@ -37,15 +37,16 @@ SLEDS_FAULT_SEED=0 SLEDS_BENCH_MAX_MB=8 ./build/bench/bench_fig03_lru_passes > /
 diff /tmp/sleds_faultoff_a.txt /tmp/sleds_faultoff_b.txt
 rm -f /tmp/sleds_faultoff_a.txt /tmp/sleds_faultoff_b.txt
 
-echo "==== figure goldens: wc / grep / fimgbin figure output is byte-identical ===="
-# The apps' byte loops cost host time only; app_costs.h sets their simulated
-# cost, so a faster loop must leave these figures unchanged. The build
-# metadata line (compiler, flags, git sha, host) is dropped before comparing.
-# Refresh after an intentional model change with:
-#   for b in fig07_08_wc_nfs fig11_12_grep_first_ext2 fig15_fimgbin; do
+echo "==== figure goldens: wc / grep / fimhisto / fimgbin figure output is byte-identical ===="
+# The apps' byte loops and the input generators cost host time only;
+# app_costs.h sets the apps' simulated cost, and the generators must write
+# the same bytes with the same writes, so faster host code must leave these
+# figures unchanged. The build metadata line (compiler, flags, git sha, host)
+# is dropped before comparing. Refresh after an intentional model change with:
+#   for b in fig07_08_wc_nfs fig11_12_grep_first_ext2 fig14_fimhisto fig15_fimgbin; do
 #     SLEDS_BENCH_MAX_MB=8 ./build/bench/bench_$b 2>/dev/null |
 #       sed '/^  "build": /d' > bench/golden/bench_$b.txt; done
-for b in fig07_08_wc_nfs fig11_12_grep_first_ext2 fig15_fimgbin; do
+for b in fig07_08_wc_nfs fig11_12_grep_first_ext2 fig14_fimhisto fig15_fimgbin; do
   SLEDS_BENCH_MAX_MB=8 "./build/bench/bench_${b}" 2>/dev/null | sed '/^  "build": /d' |
     diff -u "bench/golden/bench_${b}.txt" -
 done

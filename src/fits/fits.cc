@@ -192,43 +192,62 @@ double FitsDecodePixel(const char* in, int bitpix) {
   }
 }
 
-Result<void> FitsWriteImage(SimKernel& kernel, Process& process, std::string_view path,
-                            const FitsImage& image) {
-  if (image.pixels.size() != static_cast<size_t>(image.header.element_count())) {
-    return Err::kInval;
-  }
+Result<void> FitsWriteImageRows(SimKernel& kernel, Process& process, std::string_view path,
+                                const FitsHeader& header, const FitsRowSource& next_row) {
+  constexpr size_t kChunk = 64 * kKiB;  // a whole number of pixels at every BITPIX
   SLED_ASSIGN_OR_RETURN(int fd, kernel.Create(process, path));
-  const std::string header = FitsEncodeHeader(image.header);
-  SLED_RETURN_IF_ERROR(
-      kernel.Write(process, fd, std::span<const char>(header.data(), header.size())));
+  const std::string encoded_header = FitsEncodeHeader(header);
+  SLED_RETURN_IF_ERROR(kernel.Write(
+      process, fd, std::span<const char>(encoded_header.data(), encoded_header.size())));
 
-  const int64_t elem = image.header.element_size();
-  std::string buf;
-  buf.reserve(static_cast<size_t>(64 * kKiB));
+  const size_t elem = static_cast<size_t>(header.element_size());
+  const int64_t row_len = header.naxis.empty() ? 0 : header.naxis[0];
+  const int64_t rows = row_len == 0 ? 0 : header.element_count() / row_len;
+  std::string chunk(kChunk, '\0');
+  size_t used = 0;
   auto flush = [&]() -> Result<void> {
-    if (!buf.empty()) {
-      SLED_RETURN_IF_ERROR(kernel.Write(process, fd, std::span<const char>(buf.data(), buf.size())));
-      buf.clear();
+    if (used > 0) {
+      SLED_RETURN_IF_ERROR(kernel.Write(process, fd, std::span<const char>(chunk.data(), used)));
+      used = 0;
     }
     return Result<void>::Ok();
   };
-  char scratch[8];
-  for (double v : image.pixels) {
-    FitsEncodePixel(v, image.header.bitpix, scratch);
-    buf.append(scratch, static_cast<size_t>(elem));
-    if (buf.size() >= static_cast<size_t>(64 * kKiB)) {
-      SLED_RETURN_IF_ERROR(flush());
+  for (int64_t y = 0; y < rows; ++y) {
+    const std::span<const double> row = next_row();
+    SLED_CHECK(row.size() == static_cast<size_t>(row_len), "FITS row of %zu pixels, want %lld",
+               row.size(), static_cast<long long>(row_len));
+    for (double v : row) {
+      FitsEncodePixel(v, header.bitpix, chunk.data() + used);
+      used += elem;
+      if (used == kChunk) {
+        SLED_RETURN_IF_ERROR(flush());
+      }
     }
   }
   SLED_RETURN_IF_ERROR(flush());
   // Pad the data unit to the blocking factor.
-  const int64_t pad = image.header.padded_data_bytes() - image.header.data_bytes();
+  const int64_t pad = header.padded_data_bytes() - header.data_bytes();
   if (pad > 0) {
     const std::string zeros(static_cast<size_t>(pad), '\0');
     SLED_RETURN_IF_ERROR(
         kernel.Write(process, fd, std::span<const char>(zeros.data(), zeros.size())));
   }
   return kernel.Close(process, fd);
+}
+
+Result<void> FitsWriteImage(SimKernel& kernel, Process& process, std::string_view path,
+                            const FitsImage& image) {
+  const FitsHeader& header = image.header;
+  if (image.pixels.size() != static_cast<size_t>(header.element_count())) {
+    return Err::kInval;
+  }
+  const size_t row_len = header.naxis.empty() ? 0 : static_cast<size_t>(header.naxis[0]);
+  const double* next = image.pixels.data();
+  return FitsWriteImageRows(kernel, process, path, header, [&] {
+    const std::span<const double> row(next, row_len);
+    next += row_len;
+    return row;
+  });
 }
 
 Result<FitsHeader> FitsReadHeader(SimKernel& kernel, Process& process, int fd) {

@@ -15,6 +15,8 @@
 #define SLEDS_SRC_FITS_FITS_H_
 
 #include <cstdint>
+#include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -70,7 +72,17 @@ double FitsDecodePixel(const char* in, int bitpix);
 
 // ---- kernel-level I/O (costed through the simulated OS) ----
 
-// Write `image` to `path` (created/truncated).
+// Yields an image's pixel values one row (NAXIS1 values) per call, rows in
+// file order. The span must stay valid until the next call.
+using FitsRowSource = std::function<std::span<const double>()>;
+
+// Write an image with `header`'s BITPIX and axes to `path` (created or
+// truncated), pulling its pixels from `next_row`. The writes are the header,
+// the data in 64 KiB chunks (the last one partial), then the block padding.
+Result<void> FitsWriteImageRows(SimKernel& kernel, Process& process, std::string_view path,
+                                const FitsHeader& header, const FitsRowSource& next_row);
+
+// Write `image` to `path` (created/truncated), as FitsWriteImageRows does.
 Result<void> FitsWriteImage(SimKernel& kernel, Process& process, std::string_view path,
                             const FitsImage& image);
 

@@ -1,6 +1,7 @@
 #include "src/workload/fits_gen.h"
 
 #include <cmath>
+#include <vector>
 
 namespace sled {
 
@@ -15,19 +16,19 @@ Result<FitsHeader> GenerateFitsImage(SimKernel& kernel, Process& process, std::s
   if (side < 4) {
     return Err::kInval;
   }
-  FitsImage image;
-  image.header.bitpix = bitpix;
-  image.header.naxis = {side, side};
-  image.pixels.resize(static_cast<size_t>(side * side));
-  for (int64_t y = 0; y < side; ++y) {
+  FitsHeader header;
+  header.bitpix = bitpix;
+  header.naxis = {side, side};
+  std::vector<double> row(static_cast<size_t>(side));
+  int64_t y = 0;
+  SLED_RETURN_IF_ERROR(FitsWriteImageRows(kernel, process, path, header, [&] {
     for (int64_t x = 0; x < side; ++x) {
       const double gradient = 100.0 * (static_cast<double>(x + y) / static_cast<double>(2 * side));
-      const double noise = rng.Normal(0.0, 5.0);
-      image.pixels[static_cast<size_t>(y * side + x)] = gradient + noise;
+      row[static_cast<size_t>(x)] = gradient + rng.Normal(0.0, 5.0);
     }
-  }
-  SLED_RETURN_IF_ERROR(FitsWriteImage(kernel, process, path, image));
-  FitsHeader header = image.header;
+    ++y;
+    return std::span<const double>(row);
+  }));
   header.data_offset = static_cast<int64_t>(FitsEncodeHeader(header).size());
   return header;
 }

@@ -7,45 +7,52 @@
 namespace sled {
 namespace {
 
-// One fixed-length line: words of lowercase letters, '\n'-terminated.
-void AppendLine(std::string* out, Rng& rng) {
-  const size_t end = out->size() + kGenLineLen - 1;
-  while (out->size() < end) {
-    const int64_t word = std::min<int64_t>(rng.Uniform(2, 9), static_cast<int64_t>(end - out->size()));
-    for (int64_t i = 0; i < word; ++i) {
-      out->push_back(static_cast<char>('a' + rng.Uniform(0, 25)));
+// One fixed-length line at `line`: words of lowercase letters separated by
+// spaces, '\n'-terminated.
+void FillLine(char* line, Rng& rng) {
+  constexpr int64_t kText = kGenLineLen - 1;
+  int64_t at = 0;
+  while (at < kText) {
+    const int64_t word = std::min<int64_t>(rng.Uniform(2, 9), kText - at);
+    for (const int64_t end = at + word; at < end; ++at) {
+      line[at] = static_cast<char>('a' + rng.Uniform(0, 25));
     }
-    if (out->size() < end) {
-      out->push_back(' ');
+    if (at < kText) {
+      line[at++] = ' ';
     }
   }
-  out->push_back('\n');
+  line[kText] = '\n';
 }
 
 }  // namespace
 
+void FillTextLines(std::span<char> out, Rng& rng) {
+  for (size_t at = 0; at + kGenLineLen <= out.size(); at += kGenLineLen) {
+    FillLine(out.data() + at, rng);
+  }
+}
+
 Result<int64_t> GenerateTextFile(SimKernel& kernel, Process& process, std::string_view path,
                                  int64_t bytes, Rng& rng) {
+  constexpr int64_t kChunk = 256 * kKiB;  // a whole number of lines
   SLED_ASSIGN_OR_RETURN(int fd, kernel.Create(process, path));
-  std::string buf;
-  buf.reserve(static_cast<size_t>(256 * kKiB + kGenLineLen));
+  std::string buf(static_cast<size_t>(kChunk), '\0');
   int64_t written = 0;
   int64_t lines = 0;
   while (written < bytes) {
-    buf.clear();
-    while (buf.size() < static_cast<size_t>(256 * kKiB) &&
-           written + static_cast<int64_t>(buf.size()) + kGenLineLen <= bytes) {
-      AppendLine(&buf, rng);
+    int64_t len = std::min(kChunk, (bytes - written) / kGenLineLen * kGenLineLen);
+    if (len > 0) {
+      FillTextLines(std::span<char>(buf.data(), static_cast<size_t>(len)), rng);
+      lines += len / kGenLineLen;
+    } else {
+      // Tail shorter than a line: fill with 'z' and a final newline.
+      len = bytes - written;
+      std::fill_n(buf.begin(), len - 1, 'z');
+      buf[static_cast<size_t>(len - 1)] = '\n';
       ++lines;
     }
-    if (buf.empty()) {
-      // Tail shorter than a line: fill with 'z' and a final newline.
-      const int64_t tail = bytes - written;
-      buf.assign(static_cast<size_t>(tail), 'z');
-      buf.back() = '\n';
-    }
-    SLED_ASSIGN_OR_RETURN(
-        int64_t n, kernel.Write(process, fd, std::span<const char>(buf.data(), buf.size())));
+    const std::span<const char> chunk(buf.data(), static_cast<size_t>(len));
+    SLED_ASSIGN_OR_RETURN(int64_t n, kernel.Write(process, fd, chunk));
     written += n;
   }
   SLED_RETURN_IF_ERROR(kernel.Close(process, fd));
@@ -76,9 +83,8 @@ Result<int64_t> PlaceMarker(SimKernel& kernel, Process& process, std::string_vie
 Result<void> RemoveMarker(SimKernel& kernel, Process& process, std::string_view path,
                           int64_t marker_offset, Rng& rng) {
   SLED_ASSIGN_OR_RETURN(int fd, kernel.Open(process, path));
-  std::string line;
-  line.reserve(static_cast<size_t>(kGenLineLen));
-  AppendLine(&line, rng);
+  std::string line(static_cast<size_t>(kGenLineLen), '\0');
+  FillLine(line.data(), rng);
   SLED_RETURN_IF_ERROR(kernel.Lseek(process, fd, marker_offset, Whence::kSet));
   SLED_RETURN_IF_ERROR(kernel.Write(process, fd, std::span<const char>(line.data(), line.size())));
   SLED_RETURN_IF_ERROR(kernel.Close(process, fd));

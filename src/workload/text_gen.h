@@ -6,6 +6,7 @@
 #ifndef SLEDS_SRC_WORKLOAD_TEXT_GEN_H_
 #define SLEDS_SRC_WORKLOAD_TEXT_GEN_H_
 
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -23,8 +24,13 @@ inline constexpr std::string_view kGrepMarker = "XNEEDLEX";
 // in place without changing the file size).
 inline constexpr int64_t kGenLineLen = 64;
 
-// Create `path` with `bytes` bytes of lowercase text lines. Returns the
-// number of lines written.
+// Fill `out` with generator lines, kGenLineLen bytes each (a trailing
+// fraction of a line is left untouched): the bytes GenerateTextFile writes.
+void FillTextLines(std::span<char> out, Rng& rng);
+
+// Create `path` with `bytes` bytes of lowercase text lines; when `bytes` is
+// not a multiple of kGenLineLen the file ends in one shorter "zz...z\n" line.
+// Returns the number of lines written, that last one included.
 Result<int64_t> GenerateTextFile(SimKernel& kernel, Process& process, std::string_view path,
                                  int64_t bytes, Rng& rng);
 

@@ -2,6 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <random>
 #include <vector>
 
 #include "src/common/ascii_plot.h"
@@ -194,6 +197,106 @@ TEST(RngTest, UniformBounds) {
     const double d = rng.UniformDouble();
     EXPECT_GE(d, 0.0);
     EXPECT_LT(d, 1.0);
+  }
+}
+
+// Rng's reference: the same distributions over std::mt19937_64.
+class StdRng {
+ public:
+  explicit StdRng(uint64_t seed) : engine_(seed) {}
+  int64_t Uniform(int64_t lo, int64_t hi) {
+    return std::uniform_int_distribution<int64_t>(lo, hi)(engine_);
+  }
+  double UniformDouble() { return std::uniform_real_distribution<double>(0.0, 1.0)(engine_); }
+  double Normal(double mean, double stddev) {
+    return std::normal_distribution<double>(mean, stddev)(engine_);
+  }
+  double Exponential(double mean) {
+    return std::exponential_distribution<double>(1.0 / mean)(engine_);
+  }
+  bool Bernoulli(double p) { return std::bernoulli_distribution(p)(engine_); }
+  StdRng Fork() { return StdRng(engine_()); }
+
+ private:
+  std::mt19937_64 engine_;
+};
+
+// Seeds at the edges of the seed space, std::mt19937_64's default, and two
+// arbitrary ones.
+constexpr uint64_t kStreamSeeds[] = {0,
+                                     1,
+                                     5489,
+                                     uint64_t{1} << 63,
+                                     std::numeric_limits<uint64_t>::max(),
+                                     0x9e3779b97f4a7c15ULL,
+                                     0x2545f4914f6cdd1dULL};
+
+TEST(RngTest, EngineMatchesStdMt19937_64) {
+  for (uint64_t seed : kStreamSeeds) {
+    SCOPED_TRACE(seed);
+    Mt19937_64 engine(seed);
+    std::mt19937_64 reference(seed);
+    for (int i = 0; i < 10 * 312; ++i) {  // ten state refills
+      ASSERT_EQ(engine(), reference()) << "draw " << i;
+    }
+  }
+}
+
+// Draws `ops` interleaved values of every method from both generators and
+// requires bit-identical results; every 500th op forks both and recurses one
+// level, so Fork chains are covered too.
+void ExpectSameStream(Rng& rng, StdRng& reference, int ops, int depth) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  for (int i = 0; i < ops; ++i) {
+    SCOPED_TRACE(i);
+    switch (i % 10) {
+      case 0:
+        ASSERT_EQ(rng.Uniform(0, 25), reference.Uniform(0, 25));
+        break;
+      case 1:
+        ASSERT_EQ(rng.Uniform(2, 9), reference.Uniform(2, 9));
+        break;
+      case 2:
+        ASSERT_EQ(rng.Uniform(kMin, kMax), reference.Uniform(kMin, kMax));
+        break;
+      case 3:
+        ASSERT_EQ(rng.Uniform(-1000, int64_t{1} << 40), reference.Uniform(-1000, int64_t{1} << 40));
+        break;
+      case 4:
+        ASSERT_EQ(rng.UniformDouble(), reference.UniformDouble());
+        break;
+      case 5:
+        ASSERT_EQ(rng.Normal(0.0, 5.0), reference.Normal(0.0, 5.0));
+        break;
+      case 6:
+        ASSERT_EQ(rng.Exponential(3.5), reference.Exponential(3.5));
+        break;
+      case 7:
+        ASSERT_EQ(rng.Bernoulli(0.3), reference.Bernoulli(0.3));
+        break;
+      case 8:
+        ASSERT_EQ(rng.Uniform(7, 7), reference.Uniform(7, 7));
+        break;
+      case 9:
+        ASSERT_EQ(rng.Uniform(0, kMax), reference.Uniform(0, kMax));
+        break;
+    }
+    if (i % 500 == 499 && depth < 2) {
+      Rng child = rng.Fork();
+      StdRng reference_child = reference.Fork();
+      ASSERT_NO_FATAL_FAILURE(ExpectSameStream(child, reference_child, 700, depth + 1));
+    }
+  }
+}
+
+TEST(RngTest, EveryMethodMatchesStdMt19937_64Stream) {
+  for (uint64_t seed : kStreamSeeds) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    StdRng reference(seed);
+    // 2000 ops draw well over four state refills (312 draws each).
+    ASSERT_NO_FATAL_FAILURE(ExpectSameStream(rng, reference, 2000, 0));
   }
 }
 

@@ -2,9 +2,18 @@
 // experiment harness.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <random>
+#include <string>
+#include <vector>
+
 #include "src/apps/wc.h"
+#include "src/fits/fits.h"
 #include "src/workload/calibrate.h"
 #include "src/workload/experiment.h"
+#include "src/workload/fits_gen.h"
 #include "src/workload/testbed.h"
 #include "src/workload/text_gen.h"
 
@@ -126,6 +135,151 @@ TEST(TextGenTest, MarkerPlacementAndRemoval) {
 
   ASSERT_TRUE(RemoveMarker(*tb.kernel, p, "/data/t.txt", where, rng).ok());
   EXPECT_EQ(tb.kernel->Stat(p, "/data/t.txt").value().size, size_before);
+}
+
+TEST(TextGenTest, LineCountIncludesRaggedTail) {
+  Testbed tb = MakeUnixTestbed(StorageKind::kDisk, 4);
+  Process& p = tb.kernel->CreateProcess("gen");
+  Rng rng(4);
+  for (int64_t bytes : {int64_t{1}, int64_t{63}, int64_t{65}, int64_t{100}}) {
+    SCOPED_TRACE(bytes);
+    const std::string path = "/data/t" + std::to_string(bytes) + ".txt";
+    const int64_t lines = GenerateTextFile(*tb.kernel, p, path, bytes, rng).value();
+    EXPECT_EQ(lines, WcApp::Run(*tb.kernel, p, path, WcOptions{}).value().lines);
+  }
+}
+
+std::string ReadWholeFile(SimKernel& kernel, Process& p, std::string_view path) {
+  const int fd = kernel.Open(p, path).value();
+  std::string all(static_cast<size_t>(kernel.Fstat(p, fd).value().size), '\0');
+  size_t got = 0;
+  while (got < all.size()) {
+    const int64_t n =
+        kernel.Read(p, fd, std::span<char>(all.data() + got, all.size() - got)).value();
+    if (n == 0) {
+      break;
+    }
+    got += static_cast<size_t>(n);
+  }
+  EXPECT_TRUE(kernel.Close(p, fd).ok());
+  all.resize(got);
+  return all;
+}
+
+// The text generator's first form, kept as its oracle: one push_back and one
+// draw per character, on std::mt19937_64.
+void OracleAppendLine(std::string* out, std::mt19937_64& engine) {
+  auto uniform = [&](int64_t lo, int64_t hi) {
+    return std::uniform_int_distribution<int64_t>(lo, hi)(engine);
+  };
+  const size_t end = out->size() + kGenLineLen - 1;
+  while (out->size() < end) {
+    const int64_t word = std::min<int64_t>(uniform(2, 9), static_cast<int64_t>(end - out->size()));
+    for (int64_t i = 0; i < word; ++i) {
+      out->push_back(static_cast<char>('a' + uniform(0, 25)));
+    }
+    if (out->size() < end) {
+      out->push_back(' ');
+    }
+  }
+  out->push_back('\n');
+}
+
+std::string OracleText(int64_t bytes, std::mt19937_64& engine) {
+  std::string out;
+  while (static_cast<int64_t>(out.size()) + kGenLineLen <= bytes) {
+    OracleAppendLine(&out, engine);
+  }
+  if (static_cast<int64_t>(out.size()) < bytes) {
+    out.append(static_cast<size_t>(bytes) - out.size() - 1, 'z');
+    out.push_back('\n');
+  }
+  return out;
+}
+
+TEST(TextGenTest, BytesAndRngPositionMatchOracle) {
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  for (int64_t bytes : {int64_t{64}, int64_t{100}, 256 * kKiB, 256 * kKiB + 64, kMiB + 17}) {
+    SCOPED_TRACE(bytes);
+    Testbed tb = MakeUnixTestbed(StorageKind::kDisk, 11);
+    Process& p = tb.kernel->CreateProcess("gen");
+    Rng rng(11);
+    std::mt19937_64 oracle(11);
+    ASSERT_TRUE(GenerateTextFile(*tb.kernel, p, "/data/t.txt", bytes, rng).ok());
+    EXPECT_EQ(ReadWholeFile(*tb.kernel, p, "/data/t.txt"), OracleText(bytes, oracle));
+    EXPECT_EQ(rng.Uniform(kMin, kMax), std::uniform_int_distribution<int64_t>(kMin, kMax)(oracle));
+  }
+}
+
+TEST(TextGenTest, WritesWholeLineChunksThenTail) {
+  // Create + one 256 KiB write per chunk of whole lines + the tail + close.
+  for (int64_t bytes : {256 * kKiB, 256 * kKiB + 64, kMiB + 17}) {
+    SCOPED_TRACE(bytes);
+    Testbed tb = MakeUnixTestbed(StorageKind::kDisk, 12);
+    Process& p = tb.kernel->CreateProcess("gen");
+    Rng rng(12);
+    ASSERT_TRUE(GenerateTextFile(*tb.kernel, p, "/data/t.txt", bytes, rng).ok());
+    const int64_t whole = bytes / kGenLineLen * kGenLineLen;
+    const int64_t writes = (whole + 256 * kKiB - 1) / (256 * kKiB) + (bytes != whole ? 1 : 0);
+    EXPECT_EQ(p.stats().syscalls, writes + 2);
+  }
+}
+
+// The FITS generator's first form, kept as its oracle: the whole image in
+// memory, then one FitsWriteImage.
+FitsImage OracleFitsImage(const FitsHeader& header, Rng& rng) {
+  const int64_t side = header.naxis[0];
+  FitsImage image;
+  image.header = header;
+  image.pixels.resize(static_cast<size_t>(side * side));
+  for (int64_t y = 0; y < side; ++y) {
+    for (int64_t x = 0; x < side; ++x) {
+      const double gradient = 100.0 * (static_cast<double>(x + y) / static_cast<double>(2 * side));
+      const double noise = rng.Normal(0.0, 5.0);
+      image.pixels[static_cast<size_t>(y * side + x)] = gradient + noise;
+    }
+  }
+  return image;
+}
+
+TEST(FitsGenTest, StreamedImageMatchesMaterialisedWrite) {
+  struct Case {
+    int bitpix;
+    int64_t approx_bytes;
+  };
+  // The ~300 KB images end in a partial 64 KiB chunk at every BITPIX; the
+  // 1 MiB float image is exactly 16 chunks.
+  for (const Case& c : {Case{8, 300000}, Case{16, 300000}, Case{-32, 300000},
+                        Case{-64, 300000}, Case{-32, kMiB}}) {
+    SCOPED_TRACE(c.bitpix);
+    SCOPED_TRACE(c.approx_bytes);
+    Testbed streamed = MakeLheasoftTestbed(13);
+    Process& gen = streamed.kernel->CreateProcess("gen");
+    Rng rng(13);
+    const FitsHeader header =
+        GenerateFitsImage(*streamed.kernel, gen, "/data/i.fits", c.approx_bytes, c.bitpix, rng)
+            .value();
+    const ProcessStats gen_stats = gen.stats();
+
+    Testbed materialised = MakeLheasoftTestbed(13);
+    Process& oracle_gen = materialised.kernel->CreateProcess("gen");
+    Rng oracle_rng(13);
+    const FitsImage image = OracleFitsImage(header, oracle_rng);
+    ASSERT_TRUE(FitsWriteImage(*materialised.kernel, oracle_gen, "/data/i.fits", image).ok());
+
+    EXPECT_EQ(header.data_offset, static_cast<int64_t>(FitsEncodeHeader(header).size()));
+    EXPECT_EQ(c.approx_bytes == kMiB, header.data_bytes() % (64 * kKiB) == 0);
+    // Create, header, one write per 64 KiB chunk, the padding, close.
+    const int64_t chunks = (header.data_bytes() + 64 * kKiB - 1) / (64 * kKiB);
+    const int64_t pad_writes = header.padded_data_bytes() > header.data_bytes() ? 1 : 0;
+    EXPECT_EQ(gen_stats.syscalls, 3 + chunks + pad_writes);
+    EXPECT_EQ(gen_stats.syscalls, oracle_gen.stats().syscalls);
+    EXPECT_EQ(gen_stats.elapsed(), oracle_gen.stats().elapsed());
+    EXPECT_EQ(ReadWholeFile(*streamed.kernel, gen, "/data/i.fits"),
+              ReadWholeFile(*materialised.kernel, oracle_gen, "/data/i.fits"));
+    EXPECT_EQ(rng.Uniform(0, 1 << 30), oracle_rng.Uniform(0, 1 << 30));
+  }
 }
 
 TEST(CalibrateTest, MeasuresCloseToDeviceNominals) {
