@@ -7,7 +7,8 @@
 // Sled expose and the scalar mean hides.
 //
 // Part 2 — tail-aware picking: a file striped across an SSD tier (in a GC
-// window) and a disk tier. Ranked by mean latency the picker starts on the
+// window) and a disk tier — a ReplicatedFs holding one copy per stripe, so
+// stripe s lives on tier s % 2. Ranked by mean latency the picker starts on the
 // SSD stripes (they look cheap on average) and the first results eat GC
 // stalls; ranked by p99 it starts on the disk stripes and the time to the
 // first quartile of data drops.
@@ -20,8 +21,8 @@
 #include "src/common/units.h"
 #include "src/device/disk_device.h"
 #include "src/device/ssd_device.h"
-#include "src/fs/tiered_fs.h"
 #include "src/kernel/sim_kernel.h"
+#include "src/replica/replicated_fs.h"
 #include "src/sleds/picker.h"
 
 namespace sled {
@@ -74,7 +75,7 @@ GcTailResult Part1() {
 struct TieredWorld {
   std::unique_ptr<SimKernel> kernel;
   Process* proc = nullptr;
-  TieredFs* fs = nullptr;
+  ReplicatedFs* fs = nullptr;
   int fd = -1;
 };
 
@@ -85,8 +86,11 @@ TieredWorld MakeTieredWorld() {
   KernelConfig kc;
   kc.cache.capacity_pages = 256;  // small: the file never fits
   w.kernel = std::make_unique<SimKernel>(kc);
-  auto fs = std::make_unique<TieredFs>("tiered", std::make_unique<SsdDevice>(SsdDeviceConfig{}),
-                                       std::make_unique<DiskDevice>(DiskDeviceConfig{}));
+  std::vector<std::unique_ptr<StorageDevice>> tiers;
+  tiers.push_back(std::make_unique<SsdDevice>(SsdDeviceConfig{}));
+  tiers.push_back(std::make_unique<DiskDevice>(DiskDeviceConfig{}));
+  auto fs = std::make_unique<ReplicatedFs>("tiered", std::move(tiers),
+                                           ReplicatedFsConfig{.replication_factor = 1});
   w.fs = fs.get();
   SLED_CHECK(w.kernel->Mount("/", std::move(fs)).ok(), "mount failed");
   w.proc = &w.kernel->CreateProcess("bench");
@@ -99,7 +103,7 @@ TieredWorld MakeTieredWorld() {
   // The SSD tier enters a GC window: the mean barely moves (duty * stall =
   // 12 ms, still under the disk's ~18 ms positioning) but the p99 balloons.
   auto plan = std::make_shared<FaultPlan>(FaultPlanConfig{.seed = 43});
-  w.fs->tier(0).InjectFaults(plan);
+  w.fs->replica(0).InjectFaults(plan);
   plan->AttachClock(&w.kernel->clock());
   const TimePoint now = w.kernel->clock().Now();
   plan->AddGcWindow(now, now + Seconds(1000000), Milliseconds(60), 0.2);

@@ -41,14 +41,24 @@ echo "==== figure goldens: wc / grep / fimhisto / fimgbin figure output is byte-
 # The apps' byte loops and the input generators cost host time only;
 # app_costs.h sets the apps' simulated cost, and the generators must write
 # the same bytes with the same writes, so faster host code must leave these
-# figures unchanged. The build metadata line (compiler, flags, git sha, host)
-# is dropped before comparing. Refresh after an intentional model change with:
+# figures unchanged. wc and grep also run under the elevator I/O engine, which
+# gates its read path, its readahead tail and Write's read-modify-write
+# through the engine. The build metadata line (compiler, flags, git sha,
+# host) is dropped before comparing. Refresh after an intentional model
+# change with:
 #   for b in fig07_08_wc_nfs fig11_12_grep_first_ext2 fig14_fimhisto fig15_fimgbin; do
 #     SLEDS_BENCH_MAX_MB=8 ./build/bench/bench_$b 2>/dev/null |
 #       sed '/^  "build": /d' > bench/golden/bench_$b.txt; done
+#   for b in fig07_08_wc_nfs fig11_12_grep_first_ext2; do
+#     SLEDS_IO_MODE=elevator SLEDS_BENCH_MAX_MB=8 ./build/bench/bench_$b 2>/dev/null |
+#       sed '/^  "build": /d' > bench/golden/bench_$b.elevator.txt; done
 for b in fig07_08_wc_nfs fig11_12_grep_first_ext2 fig14_fimhisto fig15_fimgbin; do
   SLEDS_BENCH_MAX_MB=8 "./build/bench/bench_${b}" 2>/dev/null | sed '/^  "build": /d' |
     diff -u "bench/golden/bench_${b}.txt" -
+done
+for b in fig07_08_wc_nfs fig11_12_grep_first_ext2; do
+  SLEDS_IO_MODE=elevator SLEDS_BENCH_MAX_MB=8 "./build/bench/bench_${b}" 2>/dev/null |
+    sed '/^  "build": /d' | diff -u "bench/golden/bench_${b}.elevator.txt" -
 done
 
 echo "==== fault bench: graceful degradation sweep ===="
@@ -59,8 +69,12 @@ timeout 300 ./build/bench/bench_fault
 echo "==== I/O scheduler bench: FIFO vs C-LOOK + coalescing ===="
 ./build/bench/bench_iosched
 
-echo "==== SSD bench: GC tail + tail-aware picking ===="
-timeout 300 ./build/bench/bench_ssd
+echo "==== SSD bench: GC tail + tail-aware picking, byte-identical to its golden ===="
+# Simulated time only, so the output is fixed; refresh after an intentional
+# model change with:
+#   ./build/bench/bench_ssd 2>/dev/null | sed '/^  "build": /d' > bench/golden/bench_ssd.txt
+timeout 300 ./build/bench/bench_ssd 2>/dev/null | sed '/^  "build": /d' |
+  diff -u bench/golden/bench_ssd.txt -
 
 echo "==== estimate-accuracy gate: Estimate vs Access across device models ===="
 # Simulated-time metrics, deterministic and machine-independent, so the Debug

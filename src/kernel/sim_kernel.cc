@@ -328,8 +328,13 @@ Result<void> SimKernel::Close(Process& p, int fd) {
   return Result<void>::Ok();
 }
 
-Result<void> SimKernel::PageIn(Process& p, const OpenFile& of, int64_t first_page, int64_t count,
-                               int64_t demand_pages) {
+Result<int64_t> SimKernel::PageInRun(Process& p, const OpenFile& of, int64_t page, int64_t run,
+                                     int64_t demand) {
+  return engine_on() ? EnginePageIn(p, of, page, run, demand) : PageIn(p, of, page, run, demand);
+}
+
+Result<int64_t> SimKernel::PageIn(Process& p, const OpenFile& of, int64_t first_page,
+                                  int64_t count, int64_t demand_pages) {
   FileSystem* fs = FsOf(of);
   // Attribute the transfer to the level holding the data *before* the read —
   // an HSM recall, for example, re-stages the file as a side effect.
@@ -359,44 +364,19 @@ Result<void> SimKernel::PageIn(Process& p, const OpenFile& of, int64_t first_pag
       QueueWriteback(&p, evicted->key);
     }
   }
-  return Result<void>::Ok();
+  return count;
 }
 
-int64_t SimKernel::SubmitRead(int pid, const OpenFile& of, int64_t first, int64_t count) {
-  FileSystem* fs = vfs_.FsById(of.fs_id);
-  const int64_t id = scheduler_.AllocateId();
-  for (int64_t q = first; q < first + count; ++q) {
-    inflight_[{of.fid, q}] = InFlightPage{id, of.fs_id, TimePoint(), false};
-  }
-  IoRequest req;
-  req.id = id;
-  req.op = IoOp::kRead;
-  req.file = of.fid;
-  req.ino = static_cast<int64_t>(of.ino);
-  req.first_page = first;
-  req.count = count;
-  req.device_addr = fs->DeviceAddressOf(of.ino, first);
-  const int64_t last_addr = fs->DeviceAddressOf(of.ino, first + count - 1);
-  req.device_end_addr = last_addr >= 0 ? last_addr + kPageSize : -1;
-  req.submit = clock_.Now();
-  req.pid = pid;
-  const DeviceQueue* dq = scheduler_.queue(of.fs_id);
-  obs_.IoSubmit(pid, dq->name(), of.fid, first, count, /*write=*/false, dq->depth() + 1);
-  scheduler_.Submit(of.fs_id, req);
-  return id;
-}
-
-int64_t SimKernel::SubmitWrite(int pid, FileId fid, int64_t first, int64_t count) {
+int64_t SimKernel::SubmitIo(int pid, IoOp op, FileId fid, int64_t first, int64_t count) {
   const uint32_t fs_id = FsIdOfFid(fid);
   FileSystem* fs = vfs_.FsById(fs_id);
   if (fs == nullptr || !scheduler_.HasQueue(fs_id)) {
     return 0;
   }
   const InodeNum ino = InoOfFid(fid);
-  const int64_t id = scheduler_.AllocateId();
   IoRequest req;
-  req.id = id;
-  req.op = IoOp::kWrite;
+  req.id = scheduler_.AllocateId();
+  req.op = op;
   req.file = fid;
   req.ino = static_cast<int64_t>(ino);
   req.first_page = first;
@@ -406,10 +386,16 @@ int64_t SimKernel::SubmitWrite(int pid, FileId fid, int64_t first, int64_t count
   req.device_end_addr = last_addr >= 0 ? last_addr + kPageSize : -1;
   req.submit = clock_.Now();
   req.pid = pid;
+  if (op == IoOp::kRead) {
+    // Tracked before Submit: the queue may dispatch and complete it inline.
+    for (int64_t q = first; q < first + count; ++q) {
+      inflight_[{fid, q}] = InFlightPage{req.id, fs_id, TimePoint(), false};
+    }
+  }
   const DeviceQueue* dq = scheduler_.queue(fs_id);
-  obs_.IoSubmit(pid, dq->name(), fid, first, count, /*write=*/true, dq->depth() + 1);
+  obs_.IoSubmit(pid, dq->name(), fid, first, count, op == IoOp::kWrite, dq->depth() + 1);
   scheduler_.Submit(fs_id, req);
-  return id;
+  return req.id;
 }
 
 void SimKernel::AwaitPage(Process& p, PageKey key) {
@@ -471,7 +457,7 @@ Result<int64_t> SimKernel::EnginePageIn(Process& p, const OpenFile& of, int64_t 
   int64_t submitted = 0;
   while (submitted < demand) {
     const int64_t chunk = std::min(demand - submitted, budget);
-    SubmitRead(p.pid(), of, page + submitted, chunk);
+    SubmitIo(p.pid(), IoOp::kRead, of.fid, page + submitted, chunk);
     p.stats().major_faults += chunk;
     AwaitPage(p, {of.fid, page + submitted});
     for (int64_t q = page + submitted; q < page + submitted + chunk; ++q) {
@@ -491,7 +477,7 @@ Result<int64_t> SimKernel::EnginePageIn(Process& p, const OpenFile& of, int64_t 
   const int64_t outstanding = cache_.in_flight_pages() + scheduler_.PendingPages(IoOp::kRead);
   ra = std::min(ra, std::max<int64_t>(0, budget - outstanding));
   if (ra > 0) {
-    SubmitRead(p.pid(), of, page + demand, ra);
+    SubmitIo(p.pid(), IoOp::kRead, of.fid, page + demand, ra);
     p.stats().major_faults += ra;
     stats_.readahead_pages += ra;
     obs_.Readahead(p.pid(), of.fid, page + demand, ra);
@@ -528,6 +514,29 @@ int64_t SimKernel::PlanReadaheadRun(OpenFile& of, int64_t page, int64_t file_pag
   return std::max<int64_t>(run, 1);
 }
 
+template <typename Charge>
+Result<void> SimKernel::FaultRange(Process& p, OpenFile& of, int64_t first, int64_t last,
+                                   int64_t file_pages, Charge charge) {
+  for (int64_t page = first; page <= last; ++page) {
+    const PageKey key{of.fid, page};
+    if (engine_on() && inflight_.contains(key)) {
+      AwaitPage(p, key);  // readahead in flight for this page: block until it lands
+    }
+    if (cache_.Touch(key)) {
+      ++p.stats().minor_faults;
+    } else {
+      // Demand miss: page in the readahead-planned run starting here; the
+      // next sequential miss lands where the requested run ends.
+      const int64_t run = PlanReadaheadRun(of, page, file_pages);
+      SLED_ASSIGN_OR_RETURN(const int64_t fetched,
+                            PageInRun(p, of, page, run, std::min(run, last - page + 1)));
+      of.last_demand_page = page + fetched;
+    }
+    ChargeCpu(p, charge(page));
+  }
+  return Result<void>::Ok();
+}
+
 Result<int64_t> SimKernel::Read(Process& p, int fd, std::span<char> dst) {
   SyscallScope sys(*this, p, "read");
   SLED_ASSIGN_OR_RETURN(OpenFile * of, FdOf(p, fd));
@@ -542,36 +551,17 @@ Result<int64_t> SimKernel::Read(Process& p, int fd, std::span<char> dst) {
   SLED_CHECK(copied == n, "short content read: %lld != %lld", static_cast<long long>(copied),
              static_cast<long long>(n));
 
-  const int64_t file_pages = PagesFor(size);
-  const int64_t first = of->offset / kPageSize;
-  const int64_t last = (of->offset + n - 1) / kPageSize;
   const int64_t read_end = of->offset + n;
   const Duration mem_latency = SecondsF(config_.memory.latency.ToSeconds());
   const double mem_bw = config_.memory.bandwidth_bps;
-  for (int64_t page = first; page <= last; ++page) {
-    const PageKey key{of->fid, page};
-    if (engine_on() && inflight_.contains(key)) {
-      AwaitPage(p, key);  // readahead in flight for this page: block until it lands
-    }
-    if (!cache_.Touch(key)) {
-      // Demand miss: page in the readahead-planned run starting here.
-      const int64_t run = PlanReadaheadRun(*of, page, file_pages);
-      const int64_t demand = std::min<int64_t>(run, last - page + 1);
-      if (engine_on()) {
-        SLED_ASSIGN_OR_RETURN(const int64_t eff, EnginePageIn(p, *of, page, run, demand));
-        of->last_demand_page = page + eff;
-      } else {
-        SLED_RETURN_IF_ERROR(PageIn(p, *of, page, run, demand));
-        of->last_demand_page = page + run;  // next sequential miss lands here
-      }
-    } else {
-      ++p.stats().minor_faults;
-    }
-    // Copy the consumed bytes of this page to user space.
-    const int64_t page_lo = std::max(of->offset, page * kPageSize);
-    const int64_t page_hi = std::min(read_end, (page + 1) * kPageSize);
-    ChargeCpu(p, mem_latency + TransferTime(page_hi - page_lo, mem_bw));
-  }
+  // Each page costs the copy of its consumed bytes to user space.
+  auto copy_cost = [&](int64_t page) {
+    const int64_t lo = std::max(of->offset, page * kPageSize);
+    const int64_t hi = std::min(read_end, (page + 1) * kPageSize);
+    return mem_latency + TransferTime(hi - lo, mem_bw);
+  };
+  SLED_RETURN_IF_ERROR(FaultRange(p, *of, of->offset / kPageSize, (read_end - 1) / kPageSize,
+                                  PagesFor(size), copy_cost));
   of->offset += n;
   p.stats().bytes_read += n;
   return n;
@@ -590,65 +580,12 @@ Result<std::string_view> SimKernel::MmapRead(Process& p, int fd, int64_t offset,
     return std::string_view();
   }
   const int64_t n = std::min(length, size - offset);
-  const int64_t file_pages = PagesFor(size);
-  const int64_t first = offset / kPageSize;
-  const int64_t last = (offset + n - 1) / kPageSize;
-  for (int64_t page = first; page <= last; ++page) {
-    const PageKey key{of->fid, page};
-    if (engine_on() && inflight_.contains(key)) {
-      AwaitPage(p, key);
-    }
-    if (!cache_.Touch(key)) {
-      // Demand miss: identical readahead planning to Read().
-      const int64_t run = PlanReadaheadRun(*of, page, file_pages);
-      const int64_t demand = std::min<int64_t>(run, last - page + 1);
-      if (engine_on()) {
-        SLED_ASSIGN_OR_RETURN(const int64_t eff, EnginePageIn(p, *of, page, run, demand));
-        of->last_demand_page = page + eff;
-      } else {
-        SLED_RETURN_IF_ERROR(PageIn(p, *of, page, run, demand));
-        of->last_demand_page = page + run;
-      }
-    } else {
-      ++p.stats().minor_faults;
-    }
-    ChargeCpu(p, config_.costs.mmap_touch_per_page);
-  }
+  SLED_RETURN_IF_ERROR(FaultRange(p, *of, offset / kPageSize, (offset + n - 1) / kPageSize,
+                                  PagesFor(size),
+                                  [&](int64_t) { return config_.costs.mmap_touch_per_page; }));
   p.stats().bytes_read += n;
   SLED_ASSIGN_OR_RETURN(std::string_view content, fs->ContentView(of->ino));
   return content.substr(static_cast<size_t>(offset), static_cast<size_t>(n));
-}
-
-Result<void> SimKernel::ProgFaultSpan(Process& p, OpenFile& of, int64_t offset, int64_t length,
-                                      int64_t size) {
-  if (length <= 0) {
-    return Result<void>::Ok();
-  }
-  const int64_t file_pages = PagesFor(size);
-  const int64_t first = offset / kPageSize;
-  const int64_t last = (offset + length - 1) / kPageSize;
-  for (int64_t page = first; page <= last; ++page) {
-    const PageKey key{of.fid, page};
-    if (engine_on() && inflight_.contains(key)) {
-      AwaitPage(p, key);
-    }
-    if (!cache_.Touch(key)) {
-      // Demand miss: identical readahead planning to Read()/MmapRead().
-      const int64_t run = PlanReadaheadRun(of, page, file_pages);
-      const int64_t demand = std::min<int64_t>(run, last - page + 1);
-      if (engine_on()) {
-        SLED_ASSIGN_OR_RETURN(const int64_t eff, EnginePageIn(p, of, page, run, demand));
-        of.last_demand_page = page + eff;
-      } else {
-        SLED_RETURN_IF_ERROR(PageIn(p, of, page, run, demand));
-        of.last_demand_page = page + run;
-      }
-    } else {
-      ++p.stats().minor_faults;
-    }
-    ChargeCpu(p, config_.costs.prog_touch_per_page);
-  }
-  return Result<void>::Ok();
 }
 
 Result<int64_t> SimKernel::InstallProgram(Process& p, int fd, const ProgSpec& spec) {
@@ -682,8 +619,13 @@ Result<ProgResult> SimKernel::RunProgram(Process& p, int fd) {
   // Read would), then run the program over the bytes in place. The program
   // body is priced per invocation plus its app-declared per-byte compute;
   // there is no crossing and no user copy — that is the entire win.
+  const int64_t file_pages = PagesFor(size);
   auto run_chunk = [&](int64_t off, int64_t len) -> Result<CompletionProgram::Action> {
-    SLED_RETURN_IF_ERROR(ProgFaultSpan(p, *of, off, len, size));
+    if (len > 0) {
+      SLED_RETURN_IF_ERROR(
+          FaultRange(p, *of, off / kPageSize, (off + len - 1) / kPageSize, file_pages,
+                     [&](int64_t) { return config_.costs.prog_touch_per_page; }));
+    }
     SLED_ASSIGN_OR_RETURN(std::string_view content, fs->ContentView(of->ino));
     const std::string_view data =
         content.substr(static_cast<size_t>(off), static_cast<size_t>(len));
@@ -719,7 +661,7 @@ Result<ProgResult> SimKernel::RunProgram(Process& p, int fd) {
     std::vector<std::pair<int64_t, int64_t>> plan;
     if (spec.order_by_sleds) {
       SLED_ASSIGN_OR_RETURN(SledVector sleds,
-                            BuildSleds(p, *of, 0, PagesFor(size), size, spec.rank_by));
+                            BuildSleds(p, *of, 0, file_pages, size, spec.rank_by));
       SortByPickOrder(sleds, spec.rank_by);
       for (const Sled& s : sleds) {
         const int64_t end = std::min(s.offset + s.length, size);
@@ -784,11 +726,7 @@ Result<int64_t> SimKernel::Write(Process& p, int fd, std::span<const char> src) 
     PageCache::Frame* frame = cache_.Probe(key);
     if (frame == nullptr && !full_cover && !beyond_old_eof) {
       // Read-modify-write of a non-resident partial page.
-      if (engine_on()) {
-        SLED_RETURN_IF_ERROR(EnginePageIn(p, *of, page, 1, 1));
-      } else {
-        SLED_RETURN_IF_ERROR(PageIn(p, *of, page, 1, 1));
-      }
+      SLED_RETURN_IF_ERROR(PageInRun(p, *of, page, 1, 1));
       frame = cache_.Probe(key);  // the page-in made it resident
     }
     if (frame != nullptr) {
@@ -899,8 +837,8 @@ Result<void> SimKernel::Fsync(Process& p, int fd) {
       while (j < dirty.size() && dirty[j].page == dirty[j - 1].page + 1) {
         ++j;
       }
-      ids.push_back(SubmitWrite(p.pid(), of->fid, dirty[i].page,
-                                static_cast<int64_t>(j - i)));
+      ids.push_back(SubmitIo(p.pid(), IoOp::kWrite, of->fid, dirty[i].page,
+                             static_cast<int64_t>(j - i)));
       i = j;
     }
     for (const PageKey& key : dirty) {
@@ -990,7 +928,7 @@ void SimKernel::QueueWriteback(Process* p, PageKey key) {
     // and the coalescer folds adjacent evictions into one access. Not an
     // error swallow: the id is unneeded (no one waits on eviction writeback)
     // and a dispatch failure is handled by CompleteIo's resubmit path.
-    (void)SubmitWrite(p != nullptr ? p->pid() : 0, key.file, key.page, 1);
+    (void)SubmitIo(p != nullptr ? p->pid() : 0, IoOp::kWrite, key.file, key.page, 1);
     return;
   }
   writeback_queue_.push_back(WritebackEntry{key, /*attempts=*/0, TimePoint()});
@@ -1323,10 +1261,10 @@ Duration SimKernel::FlushAllDirty() {
              dirty[j].page == dirty[j - 1].page + 1) {
         ++j;
       }
-      // Not an error swallow: SubmitWrite returns the request id (0 when the
+      // Not an error swallow: SubmitIo returns the request id (0 when the
       // file system is gone); completion — including failure resubmits — is
       // handled by CompleteIo during the drain below.
-      (void)SubmitWrite(0, dirty[i].file, dirty[i].page, static_cast<int64_t>(j - i));
+      (void)SubmitIo(0, IoOp::kWrite, dirty[i].file, dirty[i].page, static_cast<int64_t>(j - i));
       i = j;
     }
     for (const PageKey& key : dirty) {

@@ -259,30 +259,41 @@ class SimKernel {
   void ChargeCpu(Process& p, Duration d);
   void ChargeIo(Process& p, Duration d);
 
-  // Fetch pages [first, first+count) of the file into the cache, charging
-  // device time and fault accounting to `p`. Evicted dirty pages spill to
-  // the writeback queue (possibly flushing synchronously, charged to `p`).
-  Result<void> PageIn(Process& p, const OpenFile& of, int64_t first_page, int64_t count,
-                      int64_t demand_pages);
+  // The one demand-paging loop, shared by Read, MmapRead and RunProgram so
+  // every access path pays exactly what the page scan advertised. For each
+  // page of [first, last]: wait out an in-flight read, touch the page (a
+  // minor fault) or, on a miss, plan the readahead run starting there
+  // (PlanReadaheadRun grows the descriptor's window on a sequential miss and
+  // resets it on a jump), page it in, and move the readahead bookmark to the
+  // end of the run actually requested; then charge `charge(page)` of CPU to
+  // `p` — the caller's per-page copy or touch cost. Every page-in, Write's
+  // read-modify-write included, goes through PageInRun, which picks the
+  // synchronous PageIn (one store transfer; evicted dirty pages spill to the
+  // writeback queue) or the engine's EnginePageIn (demand pages in
+  // cache-bounded chunks, then an asynchronous readahead tail trimmed to the
+  // in-flight budget). Both return the run length they requested.
+  template <typename Charge>
+  Result<void> FaultRange(Process& p, OpenFile& of, int64_t first, int64_t last,
+                          int64_t file_pages, Charge charge);
+  int64_t PlanReadaheadRun(OpenFile& of, int64_t page, int64_t file_pages);
+  Result<int64_t> PageInRun(Process& p, const OpenFile& of, int64_t page, int64_t run,
+                            int64_t demand);
+  Result<int64_t> PageIn(Process& p, const OpenFile& of, int64_t first_page, int64_t count,
+                         int64_t demand_pages);
+  Result<int64_t> EnginePageIn(Process& p, const OpenFile& of, int64_t page, int64_t run,
+                               int64_t demand);
 
   // ---- event-driven I/O engine (async modes only) ----
   bool engine_on() const { return io_mode_ != IoMode::kFifoSync; }
-  // Engine counterpart of PageIn: submits the demand pages (in cache-bounded
-  // chunks, waiting for each), then the readahead tail as an asynchronous
-  // request trimmed to the in-flight budget. Returns the effective run length
-  // actually requested starting at `page` (the caller's readahead bookmark).
-  Result<int64_t> EnginePageIn(Process& p, const OpenFile& of, int64_t page, int64_t run,
-                               int64_t demand);
   // Completion callback for every dispatched request part: records write
   // completion times, claims cache frames for read pages (flagged in-flight
   // until the clock reaches `done`), and schedules their arrivals.
   void CompleteIo(const IoRequest& part, TimePoint done, bool ok);
-  // Enqueue a read of pages [first, first+count); returns the request id.
-  int64_t SubmitRead(int pid, const OpenFile& of, int64_t first, int64_t count);
-  // Enqueue a writeback of pages [first, first+count); 0 when the file
-  // system is gone. Write submissions need no per-page tracking: contents
+  // Enqueue a transfer of pages [first, first+count) of `fid`; returns the
+  // request id, or 0 when the file system (or its queue) is gone. Reads are
+  // tracked per page in `inflight_`; writes need no tracking: contents
   // already live in the FS content plane, the request models device timing.
-  int64_t SubmitWrite(int pid, FileId fid, int64_t first, int64_t count);
+  int64_t SubmitIo(int pid, IoOp op, FileId fid, int64_t first, int64_t count);
   // Block `p` until `key` has arrived: force-dispatch its request if still
   // queued, then advance the clock to the arrival time, charging the wait to
   // the process's I/O account. No-op if the page is not in flight.
@@ -292,19 +303,6 @@ class SimKernel {
   // Drop queued requests and in-flight tracking for pages >= first_page of
   // the file (truncate/unlink).
   void CancelFileIo(FileId fid, int64_t first_page);
-
-  // Demand miss on `page`: grow (sequential) or reset (random) the
-  // descriptor's readahead window, then return the length of the run of
-  // non-resident pages to fetch starting at `page`. Shared by Read and
-  // MmapRead so the two paths cannot drift.
-  int64_t PlanReadaheadRun(OpenFile& of, int64_t page, int64_t file_pages);
-
-  // Fault pages of [offset, offset+length) into the cache for a completion
-  // program: the same demand/readahead/engine logic as Read and MmapRead
-  // (kept in their exact shape so the three paths cannot drift), but charges
-  // prog_touch_per_page instead of a user-space copy.
-  Result<void> ProgFaultSpan(Process& p, OpenFile& of, int64_t offset, int64_t length,
-                             int64_t size);
 
   // Shared FSLEDS_GET body: charge the scan, build the SLED vector for pages
   // [first_page, end_page) of the file, and record the scan event.

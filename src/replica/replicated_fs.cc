@@ -132,8 +132,8 @@ int ReplicatedFs::RouteLevelOf(InodeNum ino, int64_t page, RankBy rank_by) const
   const int64_t stripe = StripeOf(page);
   const std::vector<Candidate> cands = CandidatesFor(ino, stripe, rank_by);
   if (cands.empty()) {
-    // Every placed copy is stale (a write that failed everywhere): fall back
-    // to the placement primary; reads will surface the error.
+    // Every placed copy is stale (each missed a write another one took):
+    // fall back to the placement primary; reads will surface the error.
     return static_cast<int>(stripe % num_replicas());
   }
   return cands.front().replica;
@@ -236,32 +236,37 @@ Result<Duration> ReplicatedFs::WriteRun(InodeNum ino, int64_t first_page, int64_
   const int64_t nbytes = run * kPageSize;
   const int n = num_replicas();
   Duration slowest;
-  int acks = 0;
-  int placed = 0;
+  std::vector<int> missed;
   Err last = Err::kIo;
   for (int k = 0; k < replication_factor_; ++k) {
     const int r = static_cast<int>((stripe + k) % n);
-    ++placed;
     SLED_ASSIGN_OR_RETURN(const int64_t addr, ReplicaAddressOf(r, ino, first_page));
     auto res = devices_[static_cast<size_t>(r)]->Write(addr, nbytes);
     if (res.ok()) {
-      ++acks;
       slowest = std::max(slowest, res.value());
-      continue;
+    } else {
+      last = res.error();
+      ++rstats_.failed_writes;
+      missed.push_back(r);
     }
-    // This copy missed the write: the whole stripe is stale on r until
-    // background recovery re-syncs it.
-    last = res.error();
-    ++rstats_.failed_writes;
-    MarkStale(r, ino, stripe);
-    if (observer() != nullptr) {
-      observer()->ReplicaStale(name(), r, nbytes);
+  }
+  const int acks = replication_factor_ - static_cast<int>(missed.size());
+  // A copy that missed the write is behind only if another copy took it:
+  // the whole stripe is then stale on it until background recovery re-syncs
+  // it. When no copy acked, every copy still agrees (on the old data), and
+  // the caller's retry rewrites them all.
+  if (acks > 0) {
+    for (const int r : missed) {
+      MarkStale(r, ino, stripe);
+      if (observer() != nullptr) {
+        observer()->ReplicaStale(name(), r, nbytes);
+      }
     }
   }
   if (acks < replication_min_) {
     return last;  // too few copies committed — the write itself fails
   }
-  if (acks < placed) {
+  if (!missed.empty()) {
     ++rstats_.degraded_writes;
   }
   // Primary-copy commit: the caller waits for every (surviving) ack, so the

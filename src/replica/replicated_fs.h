@@ -14,9 +14,10 @@
 // Fault story (primary-copy):
 //   * writes go to every placed replica and charge the slowest (the ack
 //     horizon of a synchronous-replication commit). A replica that fails
-//     mid-write is marked stale for the affected stripes and queued for
-//     re-sync; the write itself succeeds as long as `replication_min`
-//     replicas acked (degraded write).
+//     mid-write while another copy acks is marked stale for the affected
+//     stripes and queued for re-sync; the write itself succeeds as long as
+//     `replication_min` replicas acked (degraded write). A write no copy
+//     took marks nothing: the copies still agree, and the retry rewrites all.
 //   * reads try replicas in rank order, skipping stale copies; an erroring
 //     replica fails over to the next candidate (degraded read) instead of
 //     surfacing the error.
@@ -69,7 +70,7 @@ struct ReplicatedFsConfig {
 // Running replication counters, for tests and the bench harness.
 struct ReplicaStats {
   int64_t degraded_reads = 0;   // read runs served after skipping a better-ranked copy
-  int64_t failed_writes = 0;    // per-replica write ops that failed (stripes went stale)
+  int64_t failed_writes = 0;    // per-replica write ops that failed
   int64_t degraded_writes = 0;  // write runs acked by fewer than all placed replicas
   int64_t hedges_issued = 0;
   int64_t hedge_wins = 0;

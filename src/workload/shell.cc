@@ -18,7 +18,6 @@
 #include "src/fs/extent_file_system.h"
 #include "src/fs/hsm_fs.h"
 #include "src/fs/remote_fs.h"
-#include "src/fs/tiered_fs.h"
 #include "src/progs/progs_env.h"
 #include "src/replica/replicated_fs.h"
 #include "src/sleds/delivery.h"
@@ -227,12 +226,16 @@ std::string SledShell::CmdMount(const std::vector<std::string>& args) {
     sc.seed = seed;
     fs = std::make_unique<ExtFs>("ssd", std::make_unique<SsdDevice>(sc));
   } else if (args[0] == "tiered") {
+    // SSD+disk striped testbed: one copy per stripe, stripe s on device s % 2.
     SsdDeviceConfig sc;
     sc.seed = seed;
     DiskDeviceConfig dc;
     dc.seed = seed + 1;
-    fs = std::make_unique<TieredFs>("tiered", std::make_unique<SsdDevice>(sc),
-                                    std::make_unique<DiskDevice>(dc));
+    std::vector<std::unique_ptr<StorageDevice>> tiers;
+    tiers.push_back(std::make_unique<SsdDevice>(sc));
+    tiers.push_back(std::make_unique<DiskDevice>(dc));
+    fs = std::make_unique<ReplicatedFs>("tiered", std::move(tiers),
+                                        ReplicatedFsConfig{.replication_factor = 1});
   } else if (args[0] == "hsm") {
     HsmFsConfig hc;
     hc.staging_capacity_bytes = 512LL * 1024 * 1024;

@@ -18,8 +18,8 @@
 #include "src/fs/extent_file_system.h"
 #include "src/fs/hsm_fs.h"
 #include "src/fs/remote_fs.h"
-#include "src/fs/tiered_fs.h"
 #include "src/kernel/sim_kernel.h"
+#include "src/replica/replicated_fs.h"
 #include "src/sleds/picker.h"
 
 namespace sled {
@@ -464,15 +464,18 @@ TEST(FaultSledsTest, PickerPrunedBytesAccumulateAcrossRefreshes) {
   KernelConfig config;
   config.cache.capacity_pages = 1024;
   SimKernel kernel(config);
-  TieredFsConfig tc;
+  ReplicatedFsConfig tc;  // one copy per stripe: stripe s on tier s % 2
   tc.stripe_pages = 8;
+  tc.replication_factor = 1;
   DiskDeviceConfig dc0;
   dc0.seed = 11;
   DiskDeviceConfig dc1;
   dc1.seed = 12;
-  auto fs_owned = std::make_unique<TieredFs>("tiered", std::make_unique<DiskDevice>(dc0, "t0"),
-                                             std::make_unique<DiskDevice>(dc1, "t1"), tc);
-  TieredFs* fs = fs_owned.get();
+  std::vector<std::unique_ptr<StorageDevice>> tiers;
+  tiers.push_back(std::make_unique<DiskDevice>(dc0, "t0"));
+  tiers.push_back(std::make_unique<DiskDevice>(dc1, "t1"));
+  auto fs_owned = std::make_unique<ReplicatedFs>("tiered", std::move(tiers), tc);
+  ReplicatedFs* fs = fs_owned.get();
   ASSERT_TRUE(kernel.Mount("/", std::move(fs_owned)).ok());
   Process& proc = kernel.CreateProcess("test");
 
@@ -496,7 +499,7 @@ TEST(FaultSledsTest, PickerPrunedBytesAccumulateAcrossRefreshes) {
 
   auto down = [&](int tier) {
     auto plan = std::make_shared<FaultPlan>(FaultPlanConfig{});
-    fs->tier(tier).InjectFaults(plan);
+    fs->replica(tier).InjectFaults(plan);
     plan->AttachClock(&kernel.clock());
     plan->AddDownWindow(kernel.clock().Now(), kernel.clock().Now() + Seconds(3600));
   };

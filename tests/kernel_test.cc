@@ -482,29 +482,41 @@ TEST(KernelTest, SynchronousFlushTimeIsChargedToTriggeringProcess) {
 }
 
 TEST(KernelTest, ReadAndMmapReadShareReadaheadPlanning) {
-  // The two demand-paging paths use one readahead planner: identical access
-  // patterns produce identical fault counts and readahead volume.
-  auto run = [](bool use_mmap) {
+  // Read, MmapRead and completion programs fault pages through one
+  // demand-paging loop: identical access patterns produce identical fault
+  // counts and readahead volume.
+  enum class Path { kRead, kMmap, kProgram };
+  auto run = [](Path path) {
     World w = MakeWorld(/*cache_pages=*/256);
     const std::string data(64 * kPageSize, 'm');
     WriteFile(*w.kernel, *w.proc, "/f", data);
     w.kernel->DropCaches();
     Process& p = w.kernel->CreateProcess("reader");
-    if (use_mmap) {
-      // Touch the mapping in the same 8 KiB strides ReadFile uses, so both
-      // paths present identical demand patterns to the planner.
+    if (path == Path::kRead) {
+      EXPECT_EQ(ReadFile(*w.kernel, p, "/f"), data);
+    } else {
+      // Touch the file in the same 8 KiB strides ReadFile uses, so every
+      // path presents identical demand patterns to the planner.
       const int fd = w.kernel->Open(p, "/f").value();
-      for (int64_t off = 0; off < static_cast<int64_t>(data.size()); off += 8192) {
-        EXPECT_TRUE(w.kernel->MmapRead(p, fd, off, 8192).ok());
+      if (path == Path::kMmap) {
+        for (int64_t off = 0; off < static_cast<int64_t>(data.size()); off += 8192) {
+          EXPECT_TRUE(w.kernel->MmapRead(p, fd, off, 8192).ok());
+        }
+      } else {
+        ProgSpec spec;
+        spec.kind = ProgKind::kCount;
+        spec.chunk_bytes = 8192;
+        EXPECT_TRUE(w.kernel->InstallProgram(p, fd, spec).ok());
+        EXPECT_EQ(w.kernel->RunProgram(p, fd).value().status, ProgStatus::kOk);
       }
       EXPECT_TRUE(w.kernel->Close(p, fd).ok());
-    } else {
-      EXPECT_EQ(ReadFile(*w.kernel, p, "/f"), data);
     }
     return std::tuple(p.stats().major_faults, w.kernel->stats().readahead_pages,
                       w.kernel->stats().pages_paged_in);
   };
-  EXPECT_EQ(run(false), run(true));
+  const auto read = run(Path::kRead);
+  EXPECT_EQ(read, run(Path::kMmap));
+  EXPECT_EQ(read, run(Path::kProgram));
 }
 
 TEST(KernelTest, ReadaheadWindowGrowsFromMinAndResetsOnJump) {

@@ -287,6 +287,48 @@ TEST(ReplicaFaultTest, WriteFailsWhenAcksFallBelowMinimum) {
   EXPECT_GT(w.kernel->stats().writeback_retries + w.kernel->stats().writeback_lost, 0);
 }
 
+// A write that no placed copy took leaves nothing stale: every copy still
+// holds the same (old) data, so the fsync retry rewrites them all and a cold
+// read must find the data. Marking the copies stale instead leaves no clean
+// source to read or to re-sync from: every later read fails with EIO.
+void FailEveryCopyThenRetryFsync(int replication_factor) {
+  ReplicatedFsConfig rc;
+  rc.stripe_pages = 8;
+  rc.replication_factor = replication_factor;
+  World w = MakeWorld(IdenticalDisks(2, 29), rc);
+
+  const int64_t size = 8 * kPageSize;  // one stripe, placed on replicas 0..rf-1
+  const std::string data(static_cast<size_t>(size), 'f');
+  const int fd = w.kernel->Create(*w.proc, "/data").value();
+  ASSERT_TRUE(w.kernel->Write(*w.proc, fd, std::span<const char>(data.data(), data.size())).ok());
+
+  // Every placed copy fails the first fsync's attempt and the kernel's
+  // immediate retries of it.
+  const int attempts = 1 + w.kernel->config().fault.max_io_retries;
+  for (int r = 0; r < replication_factor; ++r) {
+    auto plan = std::make_shared<FaultPlan>(FaultPlanConfig{});
+    plan->FailNextWrites(attempts);
+    w.fs->replica(r).InjectFaults(plan);
+  }
+  EXPECT_FALSE(w.kernel->Fsync(*w.proc, fd).ok());
+  EXPECT_EQ(w.fs->stale_stripes(), 0);
+  ASSERT_TRUE(w.kernel->Fsync(*w.proc, fd).ok());
+  ASSERT_TRUE(w.kernel->Close(*w.proc, fd).ok());
+
+  w.kernel->DropCaches();
+  EXPECT_EQ(ReadAll(w, "/data"), size);
+  EXPECT_EQ(w.fs->stale_stripes(), 0);
+  EXPECT_EQ(w.kernel->stats().io_errors, 1) << "only the first fsync's transfer failed";
+}
+
+TEST(ReplicaFaultTest, FailedWriteOnOnlyCopyLeavesNothingStale) {
+  FailEveryCopyThenRetryFsync(/*replication_factor=*/1);
+}
+
+TEST(ReplicaFaultTest, FailedWriteOnBothCopiesLeavesNothingStale) {
+  FailEveryCopyThenRetryFsync(/*replication_factor=*/2);
+}
+
 // Hedged reads: with a deadline the straggler always misses (factor 0), the
 // second-ranked replica is issued the same read; accounting and the
 // min(straggler, deadline + hedge) charge are exercised end to end.

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
+#include <sstream>
+#include <string>
 
 #include "src/workload/shell.h"
 
@@ -160,6 +163,23 @@ TEST(ShellTest, ZonedMountShowsPerZoneRows) {
   const std::string stats = shell.Execute("stats");
   EXPECT_NE(stats.find("disk-z0"), std::string::npos);
   EXPECT_NE(stats.find("disk-z7"), std::string::npos);
+}
+
+TEST(ShellTest, TieredMountStripesFileAcrossTwoLevels) {
+  SledShell shell;
+  EXPECT_NE(shell.Execute("mount tiered /t").find("mounted tiered"), std::string::npos);
+  EXPECT_NE(shell.Execute("genfile /t/x.txt 2").find("wrote"), std::string::npos);
+  (void)shell.Execute("dropcaches");
+  // Cold file: every panel row names the device its stripe lives on, and
+  // both devices hold some of them.
+  const std::string panel = shell.Execute("sleds /t/x.txt");
+  std::istringstream rows(panel.substr(panel.find("level\n") + 6));
+  std::set<std::string> levels;
+  for (std::string row; std::getline(rows, row) && row.find("estimated") != 0;) {
+    levels.insert(row.substr(row.rfind(' ') + 1));
+  }
+  EXPECT_EQ(levels, (std::set<std::string>{"ssd", "disk"}));
+  EXPECT_NE(shell.Execute("cat /t/x.txt").find("read 2097152 bytes"), std::string::npos);
 }
 
 TEST(ShellTest, TraceDumpsRecentEvents) {

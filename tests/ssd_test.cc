@@ -1,5 +1,6 @@
 // SsdDevice model, GC-spike fault windows, distribution-valued SLEDs, and
-// tail-aware (rank_by) picking over a tiered SSD/HDD layout.
+// tail-aware (rank_by) picking over a tiered SSD/HDD layout (a ReplicatedFs
+// holding one copy per stripe).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,8 +13,8 @@
 #include "src/device/disk_device.h"
 #include "src/device/ssd_device.h"
 #include "src/fs/extent_file_system.h"
-#include "src/fs/tiered_fs.h"
 #include "src/kernel/sim_kernel.h"
+#include "src/replica/replicated_fs.h"
 #include "src/sleds/picker.h"
 
 namespace sled {
@@ -247,26 +248,42 @@ TEST(SledQuantileTest, ScalarCalibrationPreservesTailShape) {
 
 // ---- tiered SSD/HDD layout and rank_by ----
 
+// One copy per stripe over two devices: stripe s of every file lives on
+// device (tier) s % 2.
+ReplicatedFsConfig TieredConfig() {
+  ReplicatedFsConfig config;
+  config.replication_factor = 1;
+  return config;
+}
+
+std::unique_ptr<ReplicatedFs> MakeTwoTier(std::string name, std::unique_ptr<StorageDevice> fast,
+                                          std::unique_ptr<StorageDevice> slow) {
+  std::vector<std::unique_ptr<StorageDevice>> tiers;
+  tiers.push_back(std::move(fast));
+  tiers.push_back(std::move(slow));
+  return std::make_unique<ReplicatedFs>(std::move(name), std::move(tiers), TieredConfig());
+}
+
 struct TieredWorld {
   std::unique_ptr<SimKernel> kernel;
   Process* proc = nullptr;
-  TieredFs* fs = nullptr;
+  ReplicatedFs* fs = nullptr;
 };
 
 TieredWorld MakeTieredWorld() {
   TieredWorld w;
   w.kernel = std::make_unique<SimKernel>(SmallKernelConfig());
-  auto fs = std::make_unique<TieredFs>("tiered", std::make_unique<SsdDevice>(SsdDeviceConfig{}),
-                                       std::make_unique<DiskDevice>(DiskDeviceConfig{}));
+  auto fs = MakeTwoTier("tiered", std::make_unique<SsdDevice>(SsdDeviceConfig{}),
+                        std::make_unique<DiskDevice>(DiskDeviceConfig{}));
   w.fs = fs.get();
   EXPECT_TRUE(w.kernel->Mount("/", std::move(fs)).ok());
   w.proc = &w.kernel->CreateProcess("test");
   return w;
 }
 
-TEST(TieredFsTest, PagesStripeAcrossTiers) {
+TEST(TieredLayoutTest, PagesStripeAcrossTiers) {
   TieredWorld w = MakeTieredWorld();
-  const TieredFsConfig config;
+  const ReplicatedFsConfig config = TieredConfig();
   EXPECT_EQ(w.fs->LevelOf(0, 0), 0);
   EXPECT_EQ(w.fs->LevelOf(0, config.stripe_pages - 1), 0);
   EXPECT_EQ(w.fs->LevelOf(0, config.stripe_pages), 1);
@@ -278,30 +295,30 @@ TEST(TieredFsTest, PagesStripeAcrossTiers) {
   EXPECT_EQ(w.fs->PrimaryDevice(), nullptr);
 }
 
-TEST(TieredFsTest, ReadWriteRoundTripChargesBothDevices) {
+TEST(TieredLayoutTest, ReadWriteRoundTripChargesBothDevices) {
   TieredWorld w = MakeTieredWorld();
   const int fd = w.kernel->Create(*w.proc, "/f").value();
   // Two full stripes: half the pages on each tier.
-  const TieredFsConfig config;
+  const ReplicatedFsConfig config = TieredConfig();
   const int64_t size = 2 * config.stripe_pages * kPageSize;
   const std::string data(static_cast<size_t>(size), 'y');
   ASSERT_TRUE(w.kernel->Write(*w.proc, fd, std::span<const char>(data.data(), data.size())).ok());
   w.kernel->FlushAllDirty();
-  EXPECT_GT(w.fs->tier(0).stats().bytes_written, 0);
-  EXPECT_GT(w.fs->tier(1).stats().bytes_written, 0);
+  EXPECT_GT(w.fs->replica(0).stats().bytes_written, 0);
+  EXPECT_GT(w.fs->replica(1).stats().bytes_written, 0);
   w.kernel->DropCaches();
   ASSERT_TRUE(w.kernel->Lseek(*w.proc, fd, 0, Whence::kSet).ok());
   std::vector<char> buf(static_cast<size_t>(size));
   ASSERT_EQ(w.kernel->Read(*w.proc, fd, std::span<char>(buf.data(), buf.size())).value(), size);
   EXPECT_EQ(std::string(buf.begin(), buf.end()), data);
-  EXPECT_GT(w.fs->tier(0).stats().bytes_read, 0);
-  EXPECT_GT(w.fs->tier(1).stats().bytes_read, 0);
+  EXPECT_GT(w.fs->replica(0).stats().bytes_read, 0);
+  EXPECT_GT(w.fs->replica(1).stats().bytes_read, 0);
 }
 
-TEST(TieredFsTest, ShrinkToNonzeroKeepsRegionsAcrossRegrow) {
+TEST(TieredLayoutTest, ShrinkToNonzeroKeepsRegionsAcrossRegrow) {
   TieredWorld w = MakeTieredWorld();
   const int fd = w.kernel->Create(*w.proc, "/f").value();
-  const TieredFsConfig config;
+  const ReplicatedFsConfig config = TieredConfig();
   const int64_t size = 2 * config.stripe_pages * kPageSize;
   const std::string data(static_cast<size_t>(size), 'z');
   ASSERT_TRUE(w.kernel->Write(*w.proc, fd, std::span<const char>(data.data(), data.size())).ok());
@@ -327,14 +344,15 @@ TEST(TieredFsTest, ShrinkToNonzeroKeepsRegionsAcrossRegrow) {
                           [](char c) { return c == 'w'; }));
 }
 
-TEST(TieredFsTest, GrowPastOneTierFailsNoSpcWithoutCorruptingAllocator) {
+TEST(TieredLayoutTest, GrowPastOneTierFailsNoSpcWithoutCorruptingAllocator) {
   // Tier 0 can hold 41 pages past its metadata page; tier 1 is huge. A grow
   // that does not fit tier 0 must fail kNoSpc *before* either bump pointer
   // moves, so smaller allocations keep succeeding afterwards.
   DiskDeviceConfig small;
   small.capacity_bytes = 42 * kPageSize;  // 1 metadata page + 41 usable
-  TieredFs fs("t", std::make_unique<DiskDevice>(small),
-              std::make_unique<DiskDevice>(DiskDeviceConfig{}));
+  auto tiered = MakeTwoTier("t", std::make_unique<DiskDevice>(small),
+                            std::make_unique<DiskDevice>(DiskDeviceConfig{}));
+  ReplicatedFs& fs = *tiered;
   const InodeNum ino = fs.CreateFile(fs.root(), "f").value();
   const std::string a(static_cast<size_t>(32 * kPageSize), 'a');
   ASSERT_TRUE(fs.WriteBytes(ino, 0, std::span<const char>(a.data(), a.size())).ok());
@@ -362,7 +380,7 @@ TEST(TieredFsTest, GrowPastOneTierFailsNoSpcWithoutCorruptingAllocator) {
 TEST(RankByTest, P99RankingDefersSsdInsideGcWindow) {
   TieredWorld w = MakeTieredWorld();
   const int fd = w.kernel->Create(*w.proc, "/f").value();
-  const TieredFsConfig config;
+  const ReplicatedFsConfig config = TieredConfig();
   const int64_t size = 4 * config.stripe_pages * kPageSize;
   const std::string data(static_cast<size_t>(size), 'z');
   ASSERT_TRUE(w.kernel->Write(*w.proc, fd, std::span<const char>(data.data(), data.size())).ok());
@@ -372,7 +390,7 @@ TEST(RankByTest, P99RankingDefersSsdInsideGcWindow) {
   // Open a GC window on the SSD tier: mean barely moves (duty * stall =
   // 12 ms < the disk's 18 ms mean) but the p99 balloons past the disk's.
   auto plan = std::make_shared<FaultPlan>(FaultPlanConfig{});
-  w.fs->tier(0).InjectFaults(plan);
+  w.fs->replica(0).InjectFaults(plan);
   plan->AttachClock(&w.kernel->clock());
   const TimePoint now = w.kernel->clock().Now();
   plan->AddGcWindow(now, now + Seconds(3600), Milliseconds(60), 0.2);
