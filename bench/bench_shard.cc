@@ -90,9 +90,8 @@ SweepOutcome RunOnce(int shards, const ShardBenchConfig& bench) {
   out.worlds.resize(static_cast<size_t>(bench.worlds));
   std::vector<ObsAccumulator> accs(static_cast<size_t>(rt.shards()));
   const RuntimeReport report = rt.Run(bench.worlds, [&](WorldContext& ctx) {
-    ShardWorldConfig c = WorldConfig(bench, ctx.world_id());
-    c.shard_id = ctx.shard_id();
-    ShardWorldResult r = RunShardWorld(c, &accs[static_cast<size_t>(ctx.shard_id())]);
+    ShardWorldResult r = RunShardWorld(WorldConfig(bench, ctx.world_id()),
+                                       &accs[static_cast<size_t>(ctx.shard_id())]);
     out.worlds[static_cast<size_t>(ctx.world_id())] = r;
     ctx.Progress(r.sim_ns, r.syscalls, r.pages_paged_in);
   });

@@ -166,8 +166,8 @@ if [[ "${SKIP_TSAN:-}" == "1" ]]; then
 else
   echo "==== ThreadSanitizer smoke: shard runtime under TSan ===="
   # Only the shard suite runs threads; building just its test keeps the stage
-  # fast while covering the SPSC rings, the message pool, and the worker
-  # threads racing real multi-mount kernels.
+  # fast while covering the shared world cursor and the worker threads racing
+  # real multi-mount kernels.
   TSAN_FLAGS="-fsanitize=thread -fno-omit-frame-pointer"
   cmake -B build-tsan -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \

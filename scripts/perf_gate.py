@@ -22,7 +22,11 @@ Refresh the baselines after an intentional perf change:
 
 For bench_shard the gated `speedup` is parallel efficiency (raw speedup per
 usable core), so the same baseline is meaningful on hosts with different core
-counts.
+counts. On a host with fewer than 2 hardware threads it is 1 by construction,
+so the gate skips the shard entries there and prints why. One bench_shard run
+is too noisy to be a baseline: after --refresh, set `benches.shard` to the
+median of at least 10 runs, and leave out any shard count whose lowest run
+falls below its median * TOLERANCE (that count would fail unchanged code).
 
 Accuracy mode (`--accuracy <json_dir>`) gates the `error` fields of
 BENCH_estimate_accuracy.json (estimate-vs-access MAPE and end-to-end bias,
@@ -155,6 +159,16 @@ def check(json_dir, baselines_path):
     current = collect(json_dir, sorted(baselines))
     failures = []
     for bench, workloads in sorted(baselines.items()):
+        if bench == "shard":
+            with open(os.path.join(json_dir, "BENCH_shard.json")) as f:
+                hw = int(json.load(f)["config"]["hardware_threads"])
+            if hw < 2:
+                print(
+                    f"  shard: skipped — BENCH_shard.json reports {hw} hardware "
+                    "thread; with one usable core, parallel efficiency is 1 by "
+                    "construction and measures nothing"
+                )
+                continue
         for workload, base in sorted(workloads.items()):
             cur = current[bench].get(workload)
             if cur is None:

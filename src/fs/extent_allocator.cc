@@ -102,39 +102,6 @@ Result<Duration> ExtentAllocator::TransferPages(InodeNum ino, int64_t first_page
   return total;
 }
 
-Result<Duration> ExtentAllocator::EstimateTransferPages(InodeNum ino, int64_t first_page,
-                                                        int64_t count, bool writing) const {
-  auto it = extents_.find(ino);
-  if (it == extents_.end()) {
-    return Err::kIo;
-  }
-  int64_t begin = first_page * kPageSize;
-  int64_t remaining = count * kPageSize;
-  Duration total;
-  for (const Extent& e : it->second) {
-    if (remaining <= 0) {
-      break;
-    }
-    const int64_t e_end = e.logical_start + e.length;
-    if (e_end <= begin) {
-      continue;
-    }
-    if (e.logical_start >= begin + remaining) {
-      break;
-    }
-    const int64_t run_start = std::max(begin, e.logical_start);
-    const int64_t run_len = std::min(begin + remaining, e_end) - run_start;
-    const int64_t dev_off = e.device_start + (run_start - e.logical_start);
-    total += writing ? device_->EstimateWrite(dev_off, run_len) : device_->Estimate(dev_off, run_len);
-    begin += run_len;
-    remaining -= run_len;
-  }
-  if (remaining > 0) {
-    return Err::kIo;
-  }
-  return total;
-}
-
 Result<int64_t> ExtentAllocator::DeviceAddressOf(InodeNum ino, int64_t logical_offset) const {
   auto it = extents_.find(ino);
   if (it == extents_.end()) {

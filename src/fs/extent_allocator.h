@@ -55,11 +55,6 @@ class ExtentAllocator {
   // extent list; each extent crossing is a separate device access.
   Result<Duration> TransferPages(InodeNum ino, int64_t first_page, int64_t count, bool writing);
 
-  // Like TransferPages, but using the device's estimate: no device state
-  // changes, no stats. Honest about write asymmetry via EstimateWrite.
-  Result<Duration> EstimateTransferPages(InodeNum ino, int64_t first_page, int64_t count,
-                                         bool writing) const;
-
   // Device address backing a logical byte offset (for tests/debugging).
   Result<int64_t> DeviceAddressOf(InodeNum ino, int64_t logical_offset) const;
 

@@ -40,9 +40,6 @@ class ExtentFileSystem : public FileSystem {
   StorageDevice* PrimaryDevice() override { return device_.get(); }
   // Every level (zoned or not) is the one backing device.
   DeviceHealth LevelHealth(int /*local_level*/) const override { return device_->Health(); }
-  Result<Duration> EstimateWritePages(InodeNum ino, int64_t first_page, int64_t count) override {
-    return allocator_.EstimateTransferPages(ino, first_page, count, /*writing=*/true);
-  }
 
   void AttachObserver(Observer* obs) override {
     FileSystem::AttachObserver(obs);

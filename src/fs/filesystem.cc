@@ -31,16 +31,6 @@ int64_t FileSystem::LevelRunLen(InodeNum ino, int64_t page, int64_t max_pages) c
   return n;
 }
 
-Result<Duration> FileSystem::EstimateWritePages(InodeNum ino, int64_t first_page, int64_t count) {
-  const std::vector<StorageLevelInfo> levels = Levels();
-  const int level = LevelOf(ino, first_page);
-  if (level < 0 || level >= static_cast<int>(levels.size())) {
-    return Err::kIo;
-  }
-  const DeviceCharacteristics& c = levels[static_cast<size_t>(level)].nominal;
-  return c.latency + TransferTime(count * kPageSize, c.bandwidth_bps);
-}
-
 Result<const FileSystem::Inode*> FileSystem::FindInode(InodeNum ino) const {
   auto it = inodes_.find(ino);
   if (it == inodes_.end()) {

@@ -141,11 +141,6 @@ class FileSystem {
   // Default: always reachable.
   virtual Result<void> CheckAvailable() const { return Result<void>::Ok(); }
 
-  // Estimated device time to write pages back, without performing the write
-  // or disturbing device state — writeback-drain planning. Defaults to the
-  // nominal characterization of the pages' current level.
-  virtual Result<Duration> EstimateWritePages(InodeNum ino, int64_t first_page, int64_t count);
-
   // Perform deferred background work — replica re-sync after an outage
   // window, scrubbing, compaction. Driven by SimKernel::RunMaintenance();
   // returns the device time consumed (charged to the clock, no process).

@@ -248,14 +248,6 @@ int64_t HsmFs::DeviceAddressOf(InodeNum ino, int64_t page) const {
   return addr.ok() ? *addr : -1;
 }
 
-Result<Duration> HsmFs::EstimateWritePages(InodeNum ino, int64_t first_page, int64_t count) {
-  const HsmState* s = FindState(ino);
-  if (s != nullptr && s->staged) {
-    return staging_.EstimateTransferPages(ino, first_page, count, /*writing=*/true);
-  }
-  return FileSystem::EstimateWritePages(ino, first_page, count);
-}
-
 std::vector<StorageLevelInfo> HsmFs::Levels() const {
   const DeviceCharacteristics tape_near = changer_.tape(0).Nominal();
   DeviceCharacteristics tape_far = tape_near;

@@ -78,7 +78,6 @@ class HsmFs final : public FileSystem {
     }
     return DeviceHealth{};
   }
-  Result<Duration> EstimateWritePages(InodeNum ino, int64_t first_page, int64_t count) override;
 
   // ---- HSM management ----
   // Copy a staged file to tape and release its staging space. Returns the

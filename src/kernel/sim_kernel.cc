@@ -80,8 +80,7 @@ Result<uint32_t> SimKernel::Mount(std::string path, std::unique_ptr<FileSystem> 
   if (engine_on()) {
     DeviceQueueConfig qc;
     qc.policy = io_mode_ == IoMode::kElevator ? IoPolicy::kClook : IoPolicy::kFifo;
-    qc.coalesce = io_mode_ == IoMode::kElevator && config_.io.coalesce;
-    qc.max_merge_pages = config_.io.max_merge_pages;
+    qc.coalesce = io_mode_ == IoMode::kElevator;
     StorageDevice* primary = raw->PrimaryDevice();
     std::string qname = primary != nullptr ? std::string(primary->name()) : raw->name();
     scheduler_.AttachQueue(

@@ -61,10 +61,6 @@ enum class IoMode { kFromEnv, kFifoSync, kFifoAsync, kElevator };
 
 struct IoEngineConfig {
   IoMode mode = IoMode::kFromEnv;
-  // Merge adjacent pending requests into one device access (elevator mode).
-  bool coalesce = true;
-  // Upper bound on one merged dispatch, in pages.
-  int64_t max_merge_pages = 256;
 };
 
 // Kernel-level fault tolerance. Device faults are fail-fast (zero device
@@ -107,12 +103,6 @@ struct KernelConfig {
   // harness instrumentation: it records simulated timestamps but costs zero
   // simulated time.
   int trace_events = 16384;
-  // Shard handle (ShardRuntime worlds): which shard this kernel is pinned to
-  // and which world it simulates. Identity only — no kernel behavior may
-  // depend on shard_id, or world placement would break the determinism
-  // contract (merged results identical across shard counts).
-  int shard_id = 0;
-  int64_t world_id = 0;
 };
 
 enum class Whence { kSet, kCur, kEnd };
@@ -230,9 +220,6 @@ class SimKernel {
                      static_cast<int64_t>(cache_.AllDirtyPages().size()),
                      cache_.resident_file_count());
   }
-  // Shard identity (see KernelConfig::shard_id).
-  int shard_id() const { return config_.shard_id; }
-  int64_t world_id() const { return config_.world_id; }
   // The resolved I/O mode (kFromEnv is resolved at construction).
   IoMode io_mode() const { return io_mode_; }
   // The event-driven engine's scheduler; queues exist only in async modes.

@@ -48,7 +48,6 @@ WorldRig BuildRig(const OpenLoadConfig& c, uint64_t world_seed, int64_t world_id
   tc.kind = c.kind;
   tc.cache_pages = c.cache_pages;
   tc.seed = world_seed | 1;
-  tc.world_id = world_id;
   WorldRig rig;
   rig.tb = MakeTestbed(tc);
   SimKernel& k = *rig.tb.kernel;

@@ -302,28 +302,6 @@ Result<Duration> ReplicatedFs::WritePagesToStore(InodeNum ino, int64_t first_pag
   return total;
 }
 
-Result<Duration> ReplicatedFs::EstimateWritePages(InodeNum ino, int64_t first_page,
-                                                  int64_t count) {
-  Duration total;
-  int64_t page = first_page;
-  const int64_t end = first_page + count;
-  const int n = num_replicas();
-  while (page < end) {
-    const int64_t run = LevelRunLen(ino, page, end - page);
-    const int64_t stripe = StripeOf(page);
-    Duration slowest;
-    for (int k = 0; k < replication_factor_; ++k) {
-      const int r = static_cast<int>((stripe + k) % n);
-      SLED_ASSIGN_OR_RETURN(const int64_t addr, ReplicaAddressOf(r, ino, page));
-      slowest = std::max(slowest,
-                         devices_[static_cast<size_t>(r)]->EstimateWrite(addr, run * kPageSize));
-    }
-    total += slowest;
-    page += run;
-  }
-  return total;
-}
-
 Result<Duration> ReplicatedFs::BackgroundMaintenance() {
   Duration total;
   for (int r = 0; r < num_replicas(); ++r) {

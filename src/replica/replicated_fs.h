@@ -86,7 +86,6 @@ class ReplicatedFs final : public FileSystem {
   // ---- FileSystem data plane ----
   Result<Duration> ReadPagesFromStore(InodeNum ino, int64_t first_page, int64_t count) override;
   Result<Duration> WritePagesToStore(InodeNum ino, int64_t first_page, int64_t count) override;
-  Result<Duration> EstimateWritePages(InodeNum ino, int64_t first_page, int64_t count) override;
   int LevelOf(InodeNum ino, int64_t page) const override {
     return RouteLevelOf(ino, page, config_.route_rank_by);
   }

@@ -1,22 +1,20 @@
 #include "src/shard/shard_runtime.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <thread>
+#include <vector>
 
 #include "src/common/log.h"
 
 namespace sled {
 namespace {
 
-// splitmix64: the partition hash. Cheap, well-mixed, and stable across
-// platforms, so world placement never depends on std::hash implementation.
-uint64_t SplitMix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
+// One per shard, on its own cache line so shards never write a shared line.
+struct alignas(64) ShardTally {
+  RuntimeReport report;
+};
 
 }  // namespace
 
@@ -47,131 +45,47 @@ int ResolveShardCount(int requested) {
 
 ShardRuntime::ShardRuntime(ShardConfig config) : shards_(ResolveShardCount(config.shards)) {
   SLED_CHECK(shards_ >= 1, "shard count must be >= 1");
-  channels_.reserve(static_cast<size_t>(shards_));
-  for (int s = 0; s < shards_; ++s) {
-    channels_.push_back(std::make_unique<ShardChannel>(config.channel_messages));
-  }
-  acquire_waits_.assign(static_cast<size_t>(shards_), 0);
-}
-
-ShardRuntime::~ShardRuntime() = default;
-
-int ShardRuntime::ShardOf(int64_t world_id) const {
-  return static_cast<int>(SplitMix64(static_cast<uint64_t>(world_id)) %
-                          static_cast<uint64_t>(shards_));
 }
 
 void WorldContext::Progress(int64_t sim_ns, int64_t syscalls, int64_t pages) {
-  ShardChannel& ch = *runtime_->channels_[static_cast<size_t>(shard_id_)];
-  ShardMessage* m = nullptr;
-  while ((m = ch.Acquire()) == nullptr) {
-    ++runtime_->acquire_waits_[static_cast<size_t>(shard_id_)];
-    if (runtime_->inline_report_ != nullptr) {
-      runtime_->DrainChannels(runtime_->inline_report_);
-    } else {
-      std::this_thread::yield();
-    }
-  }
-  m->kind = ShardMessage::Kind::kProgress;
-  m->shard = shard_id_;
-  m->world = world_id_;
-  m->sim_ns = sim_ns;
-  m->syscalls = syscalls;
-  m->pages = pages;
-  ch.Send(m);
-}
-
-int64_t ShardRuntime::DrainChannels(RuntimeReport* report) {
-  int64_t drained = 0;
-  for (auto& channel : channels_) {
-    while (ShardMessage* m = channel->Receive()) {
-      switch (m->kind) {
-        case ShardMessage::Kind::kProgress:
-          ++report->progress_messages;
-          report->sim_ns_sum += m->sim_ns;
-          report->syscalls_sum += m->syscalls;
-          report->pages_sum += m->pages;
-          break;
-        case ShardMessage::Kind::kWorldDone:
-          ++report->worlds;
-          break;
-        case ShardMessage::Kind::kNone:
-          SLED_CHECK(false, "blank message on shard channel");
-          break;
-      }
-      channel->Release(m);
-      ++drained;
-    }
-  }
-  return drained;
+  ++tally_->progress_messages;
+  tally_->sim_ns_sum += sim_ns;
+  tally_->syscalls_sum += syscalls;
+  tally_->pages_sum += pages;
 }
 
 RuntimeReport ShardRuntime::Run(int64_t worlds,
                                 const std::function<void(WorldContext&)>& body) {
   SLED_CHECK(worlds >= 0, "negative world count");
+  std::vector<ShardTally> tallies(static_cast<size_t>(shards_));
+  // Relaxed is enough: the fetch_add hands each world id to exactly one
+  // shard, and the join below orders every world's writes before the sums.
+  std::atomic<int64_t> next_world{0};
+  const auto claim_worlds = [&](int shard) {
+    RuntimeReport& tally = tallies[static_cast<size_t>(shard)].report;
+    for (int64_t w; (w = next_world.fetch_add(1, std::memory_order_relaxed)) < worlds;) {
+      WorldContext ctx(&tally, w, shard);
+      body(ctx);
+      ++tally.worlds;
+    }
+  };
+  {
+    std::vector<std::jthread> workers;
+    workers.reserve(static_cast<size_t>(shards_ - 1));
+    for (int s = 1; s < shards_; ++s) {
+      workers.emplace_back(claim_worlds, s);
+    }
+    claim_worlds(0);
+  }  // jthreads join here
+
   RuntimeReport report;
   report.shards = shards_;
-  std::fill(acquire_waits_.begin(), acquire_waits_.end(), 0);
-
-  // One world per body call; the kWorldDone marker travels the same pooled
-  // channel as progress traffic, so the final report.worlds == worlds check
-  // doubles as an end-to-end no-message-lost proof of the SPSC path.
-  auto run_world = [&](int64_t w, int shard) {
-    WorldContext ctx(this, w, shard);
-    body(ctx);
-    ShardChannel& ch = *channels_[static_cast<size_t>(shard)];
-    ShardMessage* m = nullptr;
-    while ((m = ch.Acquire()) == nullptr) {
-      ++acquire_waits_[static_cast<size_t>(shard)];
-      if (inline_report_ != nullptr) {
-        DrainChannels(inline_report_);
-      } else {
-        std::this_thread::yield();
-      }
-    }
-    m->kind = ShardMessage::Kind::kWorldDone;
-    m->shard = shard;
-    m->world = w;
-    ch.Send(m);
-  };
-
-  if (shards_ == 1) {
-    // Oracle mode: no threads, the calling thread interleaves simulation and
-    // draining. Byte-identical to driving the worlds directly.
-    inline_report_ = &report;
-    for (int64_t w = 0; w < worlds; ++w) {
-      run_world(w, 0);
-      DrainChannels(&report);
-    }
-    inline_report_ = nullptr;
-  } else {
-    std::atomic<int> live{shards_};
-    std::vector<std::thread> workers;
-    workers.reserve(static_cast<size_t>(shards_));
-    for (int s = 0; s < shards_; ++s) {
-      workers.emplace_back([&, s] {
-        for (int64_t w = 0; w < worlds; ++w) {
-          if (ShardOf(w) == s) {
-            run_world(w, s);
-          }
-        }
-        live.fetch_sub(1, std::memory_order_release);
-      });
-    }
-    while (live.load(std::memory_order_acquire) > 0) {
-      if (DrainChannels(&report) == 0) {
-        std::this_thread::yield();
-      }
-    }
-    for (std::thread& t : workers) {
-      t.join();
-    }
-  }
-  DrainChannels(&report);
-  SLED_CHECK(report.worlds == worlds, "world-done messages lost: %lld of %lld",
-             static_cast<long long>(report.worlds), static_cast<long long>(worlds));
-  for (int64_t waits : acquire_waits_) {
-    report.acquire_waits += waits;
+  for (const ShardTally& t : tallies) {
+    report.worlds += t.report.worlds;
+    report.progress_messages += t.report.progress_messages;
+    report.sim_ns_sum += t.report.sim_ns_sum;
+    report.syscalls_sum += t.report.syscalls_sum;
+    report.pages_sum += t.report.pages_sum;
   }
   return report;
 }

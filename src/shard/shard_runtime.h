@@ -2,32 +2,28 @@
 //
 // The simulation scales out as independent *worlds* — each world is a full
 // SimKernel with its own clock, page cache, I/O engine, Observer, and RNG
-// stream, so worlds never share mutable state. The runtime hash-partitions
-// worlds onto N shards, runs each shard's worlds in world-id order on a
-// dedicated worker thread, and drains per-shard SPSC message channels on the
-// calling thread while the workers run.
+// stream, so worlds never share mutable state. The calling thread is shard 0
+// and shards-1 worker threads join it; every shard claims the next unclaimed
+// world id from one shared atomic cursor until none remain, so an idle shard
+// never waits behind a slow world on another.
 //
 // Determinism contract:
 //   * A world's simulated behavior depends only on its own configuration and
-//     seed — never on the shard it ran on, the number of shards, or the wall
-//     clock. Hence every per-world result (simulated time, fault counts,
-//     metric values) is identical across repeated runs and across shard
-//     counts.
-//   * Everything the runtime aggregates from messages is a commutative sum,
-//     so the report's deterministic fields are independent of message-arrival
-//     order. (acquire_waits is the one wall-clock-dependent diagnostic.)
-//   * shards == 1 runs every world inline on the calling thread — no worker
-//     threads, byte-identical to driving the kernels directly. This is the
-//     oracle the differential test compares N-shard runs against.
+//     seed — never on the shard it ran on, the number of shards, the order
+//     worlds were claimed in, or the wall clock. Hence every per-world result
+//     (simulated time, fault counts, metric values) is identical across
+//     repeated runs and across shard counts.
+//   * Everything the runtime aggregates is a commutative sum, so the report is
+//     independent of which shard ran which world.
+//   * shards == 1 runs every world inline on the calling thread in ascending
+//     world-id order — no thread spawned, byte-identical to driving the
+//     kernels directly. This is the oracle the differential test compares
+//     N-shard runs against.
 #ifndef SLEDS_SRC_SHARD_SHARD_RUNTIME_H_
 #define SLEDS_SRC_SHARD_SHARD_RUNTIME_H_
 
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <vector>
-
-#include "src/shard/message_pool.h"
 
 namespace sled {
 
@@ -42,85 +38,57 @@ int ResolveShardCount(int requested);
 struct ShardConfig {
   // <= 0 resolves via ResolveShardCount.
   int shards = 0;
-  // Pooled messages per shard channel.
-  size_t channel_messages = 256;
 };
 
-class ShardRuntime;
+// Summed over every shard after the join. Deterministic: commutative sums of
+// per-world values.
+struct RuntimeReport {
+  int shards = 0;
+  int64_t worlds = 0;             // worlds run
+  int64_t progress_messages = 0;  // WorldContext::Progress calls
+  int64_t sim_ns_sum = 0;         // sum of reported sim_ns
+  int64_t syscalls_sum = 0;       // sum of reported syscalls
+  int64_t pages_sum = 0;          // sum of reported pages
+  // Always 0: reporting progress never waits. Kept because perfbench reads it.
+  int64_t acquire_waits = 0;
+};
 
 // Handed to the world body: identity plus the progress-reporting hook.
 class WorldContext {
  public:
   int64_t world_id() const { return world_id_; }
+  // The shard running this world. It varies with claim order, so it may index
+  // per-shard scratch but must never reach the simulation.
   int shard_id() const { return shard_id_; }
 
-  // Report a completed unit of work over this shard's SPSC channel. Blocks
-  // (spinning) only when the pool is dry, i.e. the control thread is more
-  // than pool_size messages behind.
+  // Add a completed unit of work to this shard's report.
   void Progress(int64_t sim_ns, int64_t syscalls, int64_t pages);
 
  private:
   friend class ShardRuntime;
-  WorldContext(ShardRuntime* runtime, int64_t world_id, int shard_id)
-      : runtime_(runtime), world_id_(world_id), shard_id_(shard_id) {}
+  WorldContext(RuntimeReport* tally, int64_t world_id, int shard_id)
+      : tally_(tally), world_id_(world_id), shard_id_(shard_id) {}
 
-  ShardRuntime* runtime_;
+  RuntimeReport* tally_;  // the running shard's own slot
   int64_t world_id_;
   int shard_id_;
-};
-
-// Aggregated over every message the control thread drained. All fields except
-// acquire_waits are deterministic (commutative sums over per-world values).
-struct RuntimeReport {
-  int shards = 0;
-  int64_t worlds = 0;             // kWorldDone messages received
-  int64_t progress_messages = 0;  // kProgress messages received
-  int64_t sim_ns_sum = 0;         // sum of reported sim_ns
-  int64_t syscalls_sum = 0;       // sum of reported syscalls
-  int64_t pages_sum = 0;          // sum of reported pages
-  // Times a worker found its message pool dry and had to wait for the control
-  // thread to recycle. Wall-clock dependent; excluded from determinism
-  // comparisons.
-  int64_t acquire_waits = 0;
 };
 
 class ShardRuntime {
  public:
   explicit ShardRuntime(ShardConfig config = {});
-  ~ShardRuntime();
-
-  ShardRuntime(const ShardRuntime&) = delete;
-  ShardRuntime& operator=(const ShardRuntime&) = delete;
 
   int shards() const { return shards_; }
 
-  // The partition rule: splitmix64(world_id) % shards. A pure function of
-  // (world_id, shards) so testbed setup, the benches, and the diff test all
-  // agree on placement.
-  int ShardOf(int64_t world_id) const;
-
-  // Run `body` once per world in [0, worlds). With one shard, runs inline on
-  // the calling thread (the deterministic oracle); otherwise spawns one
-  // worker thread per shard, each executing its assigned worlds in ascending
-  // world-id order, while the calling thread drains the message channels.
+  // Run `body` once per world in [0, worlds) and return the summed report.
   // The body must confine its mutable state to the world (or to per-shard
   // slots indexed by ctx.shard_id()); results should be written to
   // caller-owned per-world slots, which is race-free because each world id
-  // runs exactly once.
+  // runs exactly once and every worker is joined before Run returns.
   RuntimeReport Run(int64_t worlds, const std::function<void(WorldContext&)>& body);
 
  private:
-  friend class WorldContext;
-
-  // Drain every channel once into `report`; returns messages consumed.
-  int64_t DrainChannels(RuntimeReport* report);
-
   int shards_;
-  std::vector<std::unique_ptr<ShardChannel>> channels_;
-  // Set while Run is inline (single shard) so a dry pool can self-drain
-  // instead of deadlocking against the (absent) control thread.
-  RuntimeReport* inline_report_ = nullptr;
-  std::vector<int64_t> acquire_waits_;  // per shard, summed after join
 };
 
 }  // namespace sled

@@ -51,8 +51,6 @@ ShardWorldResult RunShardWorld(const ShardWorldConfig& config, ObsAccumulator* a
   tc.kind = StorageKind::kDisk;
   tc.cache_pages = config.cache_pages;
   tc.seed = world_seed | 1;
-  tc.shard_id = config.shard_id;
-  tc.world_id = config.world_id;
   Testbed tb = MakeTestbed(tc);
   SimKernel& kernel = *tb.kernel;
 

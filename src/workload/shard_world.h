@@ -1,4 +1,4 @@
-// Shard worlds: the unit of work the ShardRuntime partitions across cores.
+// Shard worlds: the unit of work the ShardRuntime spreads across cores.
 //
 // A world is one simulated machine — its own SimKernel with two data mounts
 // (ext2 disk at /data, flash at /ssd) — plus a closed-loop population of
@@ -19,7 +19,7 @@ namespace sled {
 struct ShardWorldConfig {
   int64_t world_id = 0;
   uint64_t base_seed = 1;  // per-world streams derive from (base_seed, world_id)
-  int shard_id = 0;        // placement handle only; forwarded to the kernel
+  int shard_id = 0;        // ignored by the simulation; perfbench still sets it
 
   // Population and footprint.
   int processes = 3;

@@ -40,8 +40,6 @@ Testbed MakeTestbed(const TestbedConfig& config) {
   kc.min_readahead_pages = config.min_readahead_pages;
   kc.max_readahead_pages = config.max_readahead_pages;
   kc.io = config.io;
-  kc.shard_id = config.shard_id;
-  kc.world_id = config.world_id;
   tb.kernel = std::make_unique<SimKernel>(kc);
 
   // Small system disk at /.

@@ -33,10 +33,6 @@ struct TestbedConfig {
   HsmFsConfig hsm;              // used when kind == kHsm
   IoEngineConfig io;            // I/O engine selection (default: environment)
   uint64_t seed = 1;
-  // Shard placement (ShardRuntime worlds): threaded into the kernel as its
-  // shard handle. Identity only; must never influence simulated behavior.
-  int shard_id = 0;
-  int64_t world_id = 0;
 };
 
 // A simulated machine: root fs on a small system disk, the data file system

@@ -5,7 +5,7 @@
 //      change where the work runs, never what it computes.
 //   2. The sandbox holds: resource caps abort the program, not the kernel,
 //      and a malformed chain faults the program, not the kernel.
-//   3. Simulated time is deterministic (including across shard ids) and the
+//   3. Simulated time is deterministic (identical worlds agree) and the
 //      program path is never slower than the oracle it replaces.
 #include <gtest/gtest.h>
 
@@ -35,13 +35,11 @@ struct World {
   Process* proc = nullptr;
 };
 
-World MakeWorld(IoMode mode = IoMode::kFifoSync, int64_t cache_pages = 2048,
-                int shard_id = 0) {
+World MakeWorld(IoMode mode = IoMode::kFifoSync, int64_t cache_pages = 2048) {
   World w;
   KernelConfig config;
   config.cache.capacity_pages = cache_pages;
   config.io.mode = mode;
-  config.shard_id = shard_id;
   w.kernel = std::make_unique<SimKernel>(config);
   auto fs = std::make_unique<ExtFs>("ext2", std::make_unique<DiskDevice>(DiskDeviceConfig{}));
   EXPECT_TRUE(w.kernel->Mount("/", std::move(fs)).ok());
@@ -351,7 +349,7 @@ TEST(ProgsSandboxTest, InstallRejectsInvalidSpecs) {
   EXPECT_TRUE(w.kernel->Close(*w.proc, fd).ok());
 }
 
-// ---- timing: deterministic, shard-independent, and never slower ----
+// ---- timing: deterministic and never slower ----
 
 TEST(ProgsTimingTest, ProgramNeverSlowerThanOracleAndDeterministic) {
   Duration oracle_time;
@@ -373,11 +371,11 @@ TEST(ProgsTimingTest, ProgramNeverSlowerThanOracleAndDeterministic) {
   EXPECT_LT(prog_time, oracle_time);       // the whole point of the PR
 }
 
-TEST(ProgsTimingTest, IdenticalAcrossShardIds) {
+TEST(ProgsTimingTest, IdenticalAcrossWorlds) {
   ChainResult results[2];
   Duration times[2];
-  for (int shard = 0; shard < 2; ++shard) {
-    World w = MakeWorld(IoMode::kFifoSync, 2048, shard);
+  for (int world = 0; world < 2; ++world) {
+    World w = MakeWorld();
     Rng rng(123);
     ChainGenOptions gen;
     gen.num_blocks = 300;
@@ -388,8 +386,8 @@ TEST(ProgsTimingTest, IdenticalAcrossShardIds) {
     ChainOptions opts;
     opts.name_contains = std::string(kChainMarker);
     opts.kernel_program = true;
-    results[shard] = FindApp::RunChain(*w.kernel, runner, "/chain", opts).value();
-    times[shard] = runner.stats().elapsed();
+    results[world] = FindApp::RunChain(*w.kernel, runner, "/chain", opts).value();
+    times[world] = runner.stats().elapsed();
   }
   EXPECT_EQ(results[0], results[1]);
   EXPECT_EQ(times[0], times[1]);

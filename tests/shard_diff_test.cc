@@ -2,166 +2,31 @@
 // playbook): the single-shard inline oracle is the reference, and N-shard
 // runs must reproduce it exactly — per-world simulated times, kernel stat
 // deltas, and the merged metrics export are compared byte for byte across
-// repeated runs and across shard counts. Plus unit and threaded coverage of
-// the SPSC ring and the pooled message channel; the threaded cases are the
-// payload of the ThreadSanitizer stage in scripts/check.sh.
+// repeated runs and across shard counts, whichever shard claims each world.
+// The multi-shard sweeps race the world cursor and the worker threads over
+// real multi-mount kernels; they are the payload of the ThreadSanitizer stage
+// in scripts/check.sh.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "src/common/rng.h"
 #include "src/obs/merge.h"
-#include "src/shard/message_pool.h"
 #include "src/shard/shard_runtime.h"
-#include "src/shard/spsc_queue.h"
 #include "src/workload/shard_world.h"
 
 namespace sled {
 namespace {
 
-TEST(SpscQueue, FifoOrderAndCapacity) {
-  SpscQueue<int> q(4);
-  EXPECT_EQ(q.capacity(), 4u);
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_TRUE(q.TryPush(i));
-  }
-  EXPECT_FALSE(q.TryPush(99));  // full: capacity slots, no wasted entry
-  int v = -1;
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(q.TryPop(&v));
-    EXPECT_EQ(v, i);
-  }
-  EXPECT_FALSE(q.TryPop(&v));  // empty
-  // Wrap-around: indices are monotonic counters masked into the ring.
-  for (int round = 0; round < 1000; ++round) {
-    EXPECT_TRUE(q.TryPush(round));
-    ASSERT_TRUE(q.TryPop(&v));
-    EXPECT_EQ(v, round);
-  }
-}
-
-TEST(SpscQueue, CapacityRoundsUpToPowerOfTwo) {
-  SpscQueue<int> q(5);
-  EXPECT_EQ(q.capacity(), 8u);
-  SpscQueue<int> q1(1);
-  EXPECT_EQ(q1.capacity(), 2u);
-}
-
-// Producer thread streams a counter through a small ring while the main
-// thread consumes; order and completeness must survive the handoff. Under
-// TSan this exercises the acquire/release pairs on both indices.
-TEST(SpscQueue, ThreadedHandoffPreservesSequence) {
-  constexpr int kItems = 200000;
-  SpscQueue<int> q(64);
-  std::thread producer([&q] {
-    for (int i = 0; i < kItems;) {
-      if (q.TryPush(i)) {
-        ++i;
-      } else {
-        std::this_thread::yield();
-      }
-    }
-  });
-  int expected = 0;
-  while (expected < kItems) {
-    int v;
-    if (q.TryPop(&v)) {
-      ASSERT_EQ(v, expected);
-      ++expected;
-    } else {
-      std::this_thread::yield();
-    }
-  }
-  producer.join();
-  int v;
-  EXPECT_FALSE(q.TryPop(&v));
-}
-
-TEST(ShardChannel, PoolDrainsAndRecycles) {
-  ShardChannel ch(8);
-  EXPECT_EQ(ch.pool_size(), 8u);
-  // Exhaust the pool without recycling: Acquire must report dry, not grow.
-  std::vector<ShardMessage*> held;
-  for (size_t i = 0; i < ch.pool_size(); ++i) {
-    ShardMessage* m = ch.Acquire();
-    ASSERT_NE(m, nullptr);
-    held.push_back(m);
-  }
-  EXPECT_EQ(ch.Acquire(), nullptr);
-  for (ShardMessage* m : held) {
-    m->kind = ShardMessage::Kind::kProgress;
-    ch.Send(m);
-  }
-  // Consume and recycle; the pool refills completely.
-  int received = 0;
-  while (ShardMessage* m = ch.Receive()) {
-    ++received;
-    ch.Release(m);
-  }
-  EXPECT_EQ(received, 8);
-  ASSERT_NE(ch.Acquire(), nullptr);
-}
-
-// Worker acquires/sends while control receives/releases: both rings run
-// concurrently through the same slab without loss or duplication.
-TEST(ShardChannel, ThreadedPingPong) {
-  constexpr int64_t kMessages = 100000;
-  ShardChannel ch(16);
-  std::thread worker([&ch] {
-    for (int64_t i = 0; i < kMessages;) {
-      ShardMessage* m = ch.Acquire();
-      if (m == nullptr) {
-        std::this_thread::yield();
-        continue;
-      }
-      m->kind = ShardMessage::Kind::kProgress;
-      m->sim_ns = i;
-      ch.Send(m);
-      ++i;
-    }
-  });
-  int64_t received = 0;
-  int64_t sum = 0;
-  while (received < kMessages) {
-    ShardMessage* m = ch.Receive();
-    if (m == nullptr) {
-      std::this_thread::yield();
-      continue;
-    }
-    EXPECT_EQ(m->sim_ns, received);  // SPSC: in-order delivery
-    sum += m->sim_ns;
-    ch.Release(m);
-    ++received;
-  }
-  worker.join();
-  EXPECT_EQ(sum, kMessages * (kMessages - 1) / 2);
-}
-
-TEST(ShardRuntime, PartitionIsStableAndCoversShards) {
-  for (int shards : {2, 3, 4, 8}) {
-    ShardRuntime a(ShardConfig{.shards = shards});
-    ShardRuntime b(ShardConfig{.shards = shards});
-    std::vector<int> hits(static_cast<size_t>(shards), 0);
-    for (int64_t w = 0; w < 64; ++w) {
-      const int s = a.ShardOf(w);
-      ASSERT_GE(s, 0);
-      ASSERT_LT(s, shards);
-      EXPECT_EQ(s, b.ShardOf(w));  // pure function of (world, shards)
-      ++hits[static_cast<size_t>(s)];
-    }
-    for (int s = 0; s < shards; ++s) {
-      EXPECT_GT(hits[static_cast<size_t>(s)], 0) << shards << " shards, shard " << s;
-    }
-  }
-}
-
 TEST(ShardRuntime, ReportAggregatesEveryMessage) {
   for (int shards : {1, 3}) {
-    ShardRuntime rt(ShardConfig{.shards = shards, .channel_messages = 4});
-    // 12 worlds x 5 progress messages through 4-deep pools: the pools cycle
-    // many times, and the deterministic sums still come out exact.
+    ShardRuntime rt(ShardConfig{.shards = shards});
+    // 12 worlds x 5 progress reports, wherever each world lands: the
+    // per-shard sums still come out exact.
     const RuntimeReport report = rt.Run(12, [](WorldContext& ctx) {
       for (int i = 0; i < 5; ++i) {
         ctx.Progress(/*sim_ns=*/ctx.world_id() + 1, /*syscalls=*/i, /*pages=*/2);
@@ -173,6 +38,27 @@ TEST(ShardRuntime, ReportAggregatesEveryMessage) {
     EXPECT_EQ(report.syscalls_sum, 12 * (0 + 1 + 2 + 3 + 4));
     EXPECT_EQ(report.pages_sum, 120);
   }
+}
+
+// A slow world must not hold back the worlds behind it: while world 0 polls
+// for the other seven to finish, the idle shard claims and runs all of them.
+TEST(ShardRuntime, IdleShardTakesWorldsQueuedBehindASlowWorld) {
+  constexpr int64_t kWorlds = 8;
+  std::atomic<int64_t> finished{0};
+  bool others_finished = false;  // written by world 0, read after the join
+  ShardRuntime rt(ShardConfig{.shards = 2});
+  rt.Run(kWorlds, [&](WorldContext& ctx) {
+    if (ctx.world_id() != 0) {
+      finished.fetch_add(1);
+      return;
+    }
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(3);
+    while (finished.load() < kWorlds - 1 && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    others_finished = finished.load() == kWorlds - 1;
+  });
+  EXPECT_TRUE(others_finished);
 }
 
 // ---------------------------------------------------------------------------
@@ -210,12 +96,11 @@ SweepOutcome RunSweep(int shards, const std::vector<ShardWorldConfig>& configs) 
   SweepOutcome out;
   out.worlds.resize(configs.size());
   // Per-shard accumulators are thread-confined (each indexed slot is touched
-  // only by its worker); merged after the join, in shard order.
+  // only by its shard's thread); merged after the join, in shard order.
   std::vector<ObsAccumulator> accs(static_cast<size_t>(rt.shards()));
   const RuntimeReport report =
       rt.Run(static_cast<int64_t>(configs.size()), [&](WorldContext& ctx) {
-        ShardWorldConfig c = configs[static_cast<size_t>(ctx.world_id())];
-        c.shard_id = ctx.shard_id();
+        const ShardWorldConfig& c = configs[static_cast<size_t>(ctx.world_id())];
         ShardWorldResult r = RunShardWorld(c, &accs[static_cast<size_t>(ctx.shard_id())]);
         out.worlds[static_cast<size_t>(ctx.world_id())] = r;
         ctx.Progress(r.sim_ns, r.syscalls, r.pages_paged_in);
@@ -260,7 +145,7 @@ TEST(ShardDiff, OracleMatchesDirectExecution) {
 }
 
 // The headline property: merged results are identical across shard counts —
-// partitioning worlds differently, onto different threads, must not move a
+// claiming worlds in any order, onto different threads, must not move a
 // single nanosecond of simulated time or a single histogram sample.
 TEST(ShardDiff, MergedResultsIdenticalAcrossShardCounts) {
   const auto configs = RandomWorldConfigs(2024, 6);
