@@ -16,7 +16,7 @@
 // percentage error (MAPE) of Estimate() against the access it prices, over a
 // random single-op workload. Deterministic models score 0; stochastic models
 // score their irreducible spread (the estimate is the mean, see the
-// "Estimate is the expectation of Access" contract in device.h). The MAPE
+// "Estimate is the expectation of the access" contract in device.h). The MAPE
 // table is emitted as BENCH_estimate_accuracy.json and gated by
 // scripts/perf_gate.py --accuracy against bench/baselines.json.
 #include <cmath>
@@ -146,7 +146,7 @@ void Part2() {
       "data actually occupies.\n");
 }
 
-// Mean absolute percentage error of Estimate/EstimateWrite against the
+// Mean absolute percentage error of Estimate against the
 // access it priced, over `n` random ops. `write_frac` mixes writes in (the
 // SSD's GC debt only moves under writes). `est_bias_s` is subtracted from
 // every estimate; passing the device's per-request overhead recreates the
@@ -165,8 +165,7 @@ double DeviceMape(StorageDevice& dev, uint64_t seed, double write_frac, int n = 
         i % 2 == 0 ? std::min(pos, dev.capacity_bytes() - len)
                    : PageFloor(rng.Uniform(0, dev.capacity_bytes() - len));
     const bool writing = rng.Bernoulli(write_frac);
-    const double est =
-        (writing ? dev.EstimateWrite(off, len) : dev.Estimate(off, len)).ToSeconds() - est_bias_s;
+    const double est = dev.Estimate(off, len, writing).ToSeconds() - est_bias_s;
     const double meas =
         (writing ? dev.Write(off, len) : dev.Read(off, len)).value().ToSeconds();
     sum += std::abs(meas - est) / meas;

@@ -37,14 +37,16 @@ SLEDS_FAULT_SEED=0 SLEDS_BENCH_MAX_MB=8 ./build/bench/bench_fig03_lru_passes > /
 diff /tmp/sleds_faultoff_a.txt /tmp/sleds_faultoff_b.txt
 rm -f /tmp/sleds_faultoff_a.txt /tmp/sleds_faultoff_b.txt
 
-echo "==== figure goldens: wc / grep / fimhisto / fimgbin figure output is byte-identical ===="
+echo "==== figure goldens: wc / grep / fimhisto / fimgbin / CD-ROM faults figure output is byte-identical ===="
 # The apps' byte loops and the input generators cost host time only;
 # app_costs.h sets the apps' simulated cost, and the generators must write
 # the same bytes with the same writes, so faster host code must leave these
 # figures unchanged. wc and grep also run under the elevator I/O engine, which
 # gates its read path, its readahead tail and Write's read-modify-write
 # through the engine. The build metadata line (compiler, flags, git sha,
-# host) is dropped before comparing. Refresh after an intentional model
+# host) is dropped before comparing. fig09 runs at 24 and 48 MB, one size on
+# each side of the 40 MiB cache, so it pins the CD-ROM model and the fault
+# reduction SLEDs buy above the cache. Refresh after an intentional model
 # change with:
 #   for b in fig07_08_wc_nfs fig11_12_grep_first_ext2 fig14_fimhisto fig15_fimgbin; do
 #     SLEDS_BENCH_MAX_MB=8 ./build/bench/bench_$b 2>/dev/null |
@@ -52,6 +54,10 @@ echo "==== figure goldens: wc / grep / fimhisto / fimgbin figure output is byte-
 #   for b in fig07_08_wc_nfs fig11_12_grep_first_ext2; do
 #     SLEDS_IO_MODE=elevator SLEDS_BENCH_MAX_MB=8 ./build/bench/bench_$b 2>/dev/null |
 #       sed '/^  "build": /d' > bench/golden/bench_$b.elevator.txt; done
+#   SLEDS_BENCH_MAX_MB=48 SLEDS_BENCH_STEP_MB=24 ./build/bench/bench_fig09_wc_cdrom_faults \
+#     2>/dev/null | sed '/^  "build": /d' > bench/golden/bench_fig09_wc_cdrom_faults.txt
+#   ./build/bench/bench_ext_estimate_accuracy 2>/dev/null |
+#     sed '/^  "build": /d' > bench/golden/bench_ext_estimate_accuracy.txt
 for b in fig07_08_wc_nfs fig11_12_grep_first_ext2 fig14_fimhisto fig15_fimgbin; do
   SLEDS_BENCH_MAX_MB=8 "./build/bench/bench_${b}" 2>/dev/null | sed '/^  "build": /d' |
     diff -u "bench/golden/bench_${b}.txt" -
@@ -60,6 +66,8 @@ for b in fig07_08_wc_nfs fig11_12_grep_first_ext2; do
   SLEDS_IO_MODE=elevator SLEDS_BENCH_MAX_MB=8 "./build/bench/bench_${b}" 2>/dev/null |
     sed '/^  "build": /d' | diff -u "bench/golden/bench_${b}.elevator.txt" -
 done
+SLEDS_BENCH_MAX_MB=48 SLEDS_BENCH_STEP_MB=24 ./build/bench/bench_fig09_wc_cdrom_faults 2>/dev/null |
+  sed '/^  "build": /d' | diff -u bench/golden/bench_fig09_wc_cdrom_faults.txt -
 
 echo "==== fault bench: graceful degradation sweep ===="
 # Fails the gate on crash or hang; BENCH_fault.json shows bounded retries and
@@ -76,13 +84,15 @@ echo "==== SSD bench: GC tail + tail-aware picking, byte-identical to its golden
 timeout 300 ./build/bench/bench_ssd 2>/dev/null | sed '/^  "build": /d' |
   diff -u bench/golden/bench_ssd.txt -
 
-echo "==== estimate-accuracy gate: Estimate vs Access across device models ===="
+echo "==== estimate-accuracy gate: Estimate vs the access across device models ===="
 # Simulated-time metrics, deterministic and machine-independent, so the Debug
-# build is fine. Gated against the `accuracy` section of bench/baselines.json;
-# refresh after an intentional model change with
-# scripts/perf_gate.py --refresh-accuracy.
+# build is fine. The stdout must match its golden byte for byte (refresh
+# command with the figure goldens above), and the MAPEs are gated against the
+# `accuracy` section of bench/baselines.json; refresh those after an
+# intentional model change with scripts/perf_gate.py --refresh-accuracy.
 acc_json_dir="$(mktemp -d)"
-SLEDS_BENCH_JSON_DIR="${acc_json_dir}" timeout 600 ./build/bench/bench_ext_estimate_accuracy
+SLEDS_BENCH_JSON_DIR="${acc_json_dir}" timeout 600 ./build/bench/bench_ext_estimate_accuracy \
+  2>/dev/null | sed '/^  "build": /d' | diff -u bench/golden/bench_ext_estimate_accuracy.txt -
 if [[ "${SKIP_PERF_GATE:-}" == "1" ]]; then
   echo "==== accuracy comparison skipped (SKIP_PERF_GATE=1) ===="
 elif command -v python3 >/dev/null 2>&1; then

@@ -37,8 +37,7 @@ struct AppCpuCosts {
 };
 
 // The per-syscall crossing cost itself lives in CpuCosts::syscall_overhead
-// (src/kernel/sim_kernel.h), overridable process-wide via
-// $SLEDS_SYSCALL_COST; completion-program variants of the tools below
+// (src/kernel/sim_kernel.h); completion-program variants of the tools below
 // eliminate crossings rather than re-pricing them.
 
 inline constexpr int64_t kDefaultAppBuffer = 64 * 1024;

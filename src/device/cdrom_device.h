@@ -3,7 +3,8 @@
 #ifndef SLEDS_SRC_DEVICE_CDROM_DEVICE_H_
 #define SLEDS_SRC_DEVICE_CDROM_DEVICE_H_
 
-#include "src/common/rng.h"
+#include <cmath>
+
 #include "src/device/device.h"
 
 namespace sled {
@@ -26,7 +27,7 @@ struct CdRomDeviceConfig {
 class CdRomDevice final : public StorageDevice {
  public:
   explicit CdRomDevice(CdRomDeviceConfig config, std::string name = "cdrom")
-      : StorageDevice(std::move(name)), config_(config), rng_(config.seed) {}
+      : StorageDevice(std::move(name), config.seed), config_(config) {}
 
   DeviceCharacteristics Nominal() const override {
     // Seek time is uniform over distance (quantile min + extra*p) and the
@@ -41,17 +42,6 @@ class CdRomDevice final : public StorageDevice {
     return c;
   }
 
-  Duration Estimate(int64_t offset, int64_t nbytes) const override {
-    // Expectation of Access(): per-command overhead plus transfer, plus the
-    // seek on reposition (the settle jitter 0.9 + 0.2*U has mean 1.0). Reads
-    // and burns charge the same costs, so EstimateWrite is this estimate too.
-    Duration t = config_.per_request_overhead + TransferTime(nbytes, config_.bandwidth_bps);
-    if (offset != head_position_) {
-      t += SeekTime(head_position_, offset);
-    }
-    return t;
-  }
-
   int64_t capacity_bytes() const override { return config_.capacity_bytes; }
 
   Duration SeekTime(int64_t from, int64_t to) const {
@@ -61,11 +51,26 @@ class CdRomDevice final : public StorageDevice {
   }
 
  protected:
-  Duration Access(int64_t offset, int64_t nbytes, bool writing) override;
+  // Reads and burns (a testbed mastering a disc; IsoFs enforces read-only
+  // semantics once sealed) share one cost.
+  AccessCost Cost(int64_t offset, int64_t nbytes, bool /*writing*/, Rng* draw) const override {
+    AccessCost c{config_.per_request_overhead + TransferTime(nbytes, config_.bandwidth_bps),
+                 offset != head_position_};
+    if (c.repositions) {
+      // Settle time varies a little run to run (laser refocus, CLV respin):
+      // the seek scales by 0.9 + 0.2 U, whose mean is 1.
+      const Duration seek = SeekTime(head_position_, offset);
+      c.time += draw != nullptr ? SecondsF(seek.ToSeconds() * (0.9 + 0.2 * draw->UniformDouble()))
+                                : seek;
+    }
+    return c;
+  }
+  void Advance(int64_t offset, int64_t nbytes, bool /*writing*/) override {
+    head_position_ = offset + nbytes;
+  }
 
  private:
   CdRomDeviceConfig config_;
-  Rng rng_;
   int64_t head_position_ = -1;  // -1: position unknown, first access must seek
 };
 

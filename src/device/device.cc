@@ -19,60 +19,29 @@ void StorageDevice::InjectFaults(std::shared_ptr<FaultPlan> plan) {
   }
 }
 
-Result<Duration> StorageDevice::Read(int64_t offset, int64_t nbytes) {
+Result<Duration> StorageDevice::Transfer(int64_t offset, int64_t nbytes, bool writing) {
   SLED_CHECK(offset >= 0 && nbytes > 0 && offset + nbytes <= capacity_bytes(),
-             "%s: read out of range: offset=%lld nbytes=%lld cap=%lld", name_.c_str(),
-             static_cast<long long>(offset), static_cast<long long>(nbytes),
-             static_cast<long long>(capacity_bytes()));
+             "%s: %s out of range: offset=%lld nbytes=%lld cap=%lld", name_.c_str(),
+             writing ? "write" : "read", static_cast<long long>(offset),
+             static_cast<long long>(nbytes), static_cast<long long>(capacity_bytes()));
   if (faults_ != nullptr) {
-    if (const Err e = faults_->Judge(/*write=*/false, offset, nbytes); e != Err::kOk) {
-      ++stats_.read_errors;
+    if (const Err e = faults_->Judge(writing, offset, nbytes); e != Err::kOk) {
+      ++(writing ? stats_.write_errors : stats_.read_errors);
       if (obs_ != nullptr) {
-        obs_->DeviceError(name_, /*write=*/false, e);
+        obs_->DeviceError(name_, writing, e);
       }
       return e;
     }
   }
-  const int64_t repositions_before = stats_.repositions;
-  Duration t = Access(offset, nbytes, /*writing=*/false);
-  if (faults_ != nullptr) {
-    t = faults_->AdjustServiceTime(t);
-  }
-  ++stats_.reads;
-  stats_.bytes_read += nbytes;
+  const AccessCost cost = Cost(offset, nbytes, writing, &rng_);
+  Advance(offset, nbytes, writing);
+  const Duration t = faults_ != nullptr ? faults_->AdjustServiceTime(cost.time) : cost.time;
+  ++(writing ? stats_.writes : stats_.reads);
+  (writing ? stats_.bytes_written : stats_.bytes_read) += nbytes;
+  stats_.repositions += cost.repositions ? 1 : 0;
   stats_.busy_time += t;
   if (obs_ != nullptr) {
-    obs_->DeviceTransfer(name_, /*write=*/false, offset, nbytes, t,
-                         stats_.repositions > repositions_before);
-  }
-  return t;
-}
-
-Result<Duration> StorageDevice::Write(int64_t offset, int64_t nbytes) {
-  SLED_CHECK(offset >= 0 && nbytes > 0 && offset + nbytes <= capacity_bytes(),
-             "%s: write out of range: offset=%lld nbytes=%lld cap=%lld", name_.c_str(),
-             static_cast<long long>(offset), static_cast<long long>(nbytes),
-             static_cast<long long>(capacity_bytes()));
-  if (faults_ != nullptr) {
-    if (const Err e = faults_->Judge(/*write=*/true, offset, nbytes); e != Err::kOk) {
-      ++stats_.write_errors;
-      if (obs_ != nullptr) {
-        obs_->DeviceError(name_, /*write=*/true, e);
-      }
-      return e;
-    }
-  }
-  const int64_t repositions_before = stats_.repositions;
-  Duration t = Access(offset, nbytes, /*writing=*/true);
-  if (faults_ != nullptr) {
-    t = faults_->AdjustServiceTime(t);
-  }
-  ++stats_.writes;
-  stats_.bytes_written += nbytes;
-  stats_.busy_time += t;
-  if (obs_ != nullptr) {
-    obs_->DeviceTransfer(name_, /*write=*/true, offset, nbytes, t,
-                         stats_.repositions > repositions_before);
+    obs_->DeviceTransfer(name_, writing, offset, nbytes, t, cost.repositions);
   }
   return t;
 }

@@ -18,6 +18,7 @@
 #include <string_view>
 
 #include "src/common/result.h"
+#include "src/common/rng.h"
 #include "src/common/sim_time.h"
 #include "src/device/fault.h"
 
@@ -101,6 +102,12 @@ struct DeviceStats {
   Duration busy_time;
 };
 
+// What one access costs from a model's current state.
+struct AccessCost {
+  Duration time;
+  bool repositions = false;  // the access pays positioning latency
+};
+
 class StorageDevice {
  public:
   virtual ~StorageDevice() = default;
@@ -115,33 +122,26 @@ class StorageDevice {
   // window); a failed op is fail-fast — no positioning change, no device
   // time, no device-RNG draw — so the failure's simulated cost is whatever
   // the caller's retry policy spends.
-  Result<Duration> Read(int64_t offset, int64_t nbytes);
-  Result<Duration> Write(int64_t offset, int64_t nbytes);
+  Result<Duration> Read(int64_t offset, int64_t nbytes) { return Transfer(offset, nbytes, false); }
+  Result<Duration> Write(int64_t offset, int64_t nbytes) { return Transfer(offset, nbytes, true); }
 
   // Nominal (average-case) characteristics for the SLEDs table. For seekable
   // media the latency is the average positioning cost, matching what an
   // lmbench-style external characterization would measure.
   virtual DeviceCharacteristics Nominal() const = 0;
 
-  // Estimated service time of a read at `offset` *without* performing it and
-  // without changing device state. The kernel uses Nominal() for SLEDs (the
-  // paper's implementation, §4.4); Estimate() enables the "more detailed
-  // mechanical estimates" extension.
+  // Estimated service time of a read (or, with `writing`, a write) at
+  // `offset` *without* performing it and without changing device state. The
+  // kernel uses Nominal() for SLEDs (the paper's implementation, §4.4);
+  // Estimate() enables the "more detailed mechanical estimates" extension.
   //
-  // Contract: *Estimate is the expectation of Access*. Every deterministic
-  // cost Access() charges (per-request overhead, transfer, positioning from
-  // the current state) must appear in the estimate, and every stochastic term
-  // must be represented by its mean (e.g. a uniformly distributed rotational
-  // delay contributes half a rotation; a symmetric jitter factor contributes
-  // its center). Under- or over-counting here is a systematic bias in every
-  // plan a SLED consumer builds.
-  virtual Duration Estimate(int64_t offset, int64_t nbytes) const = 0;
-
-  // Estimated service time of a *write* at `offset`, for writeback planning.
-  // Defaults to the read estimate; devices with asymmetric write costs (tape
-  // turnarounds, CD-R command overhead) override it to estimate honestly.
-  virtual Duration EstimateWrite(int64_t offset, int64_t nbytes) const {
-    return Estimate(offset, nbytes);
+  // Contract: *Estimate is the expectation of the access* (the Read or
+  // Write it prices). It holds by construction: both price with the model's
+  // one Cost function, the access sampling the model's random term and the
+  // estimate taking its mean. Under- or over-counting here would be a
+  // systematic bias in every plan a SLED consumer builds.
+  Duration Estimate(int64_t offset, int64_t nbytes, bool writing = false) const {
+    return Cost(offset, nbytes, writing, nullptr).time;
   }
 
   virtual int64_t capacity_bytes() const = 0;
@@ -169,20 +169,36 @@ class StorageDevice {
   DeviceHealth Health() const { return faults_ != nullptr ? faults_->Health() : DeviceHealth{}; }
 
  protected:
-  explicit StorageDevice(std::string name) : name_(std::move(name)) {}
+  // `seed` seeds the model's random term; models without one leave it at 0.
+  explicit StorageDevice(std::string name, uint64_t seed = 0)
+      : name_(std::move(name)), rng_(seed) {}
 
-  // Device-specific service time; must update positioning state. `writing`
-  // distinguishes writes for devices with asymmetric costs.
-  virtual Duration Access(int64_t offset, int64_t nbytes, bool writing) = 0;
+  // The model's one pricing function: what an access at `offset` costs from
+  // the current state, which it leaves unchanged. A transfer passes the
+  // device's Rng as `draw` and the model samples its random term from it;
+  // Estimate passes null and the term takes its mean. Each model draws at
+  // most once per call, so a transfer's draws stay in op order.
+  virtual AccessCost Cost(int64_t offset, int64_t nbytes, bool writing, Rng* draw) const = 0;
 
-  // Called by subclasses from Access() when an access paid positioning cost.
-  void CountReposition() { ++stats_.repositions; }
+  // Moves the model's state past an access Cost just priced: head or stream
+  // position, mount, FTL map and GC. Stateless models keep the default.
+  virtual void Advance(int64_t /*offset*/, int64_t /*nbytes*/, bool /*writing*/) {}
+
+  // The device's seeded random source, for randomness a model's Advance
+  // draws (the SSD's GC victims).
+  Rng& rng() { return rng_; }
 
  private:
+  // The one body behind Read and Write: fault judgement, pricing with a live
+  // draw, the state update, fault time adjustment, stats and the observer
+  // event.
+  Result<Duration> Transfer(int64_t offset, int64_t nbytes, bool writing);
+
   std::string name_;
   DeviceStats stats_;
   Observer* obs_ = nullptr;
   std::shared_ptr<FaultPlan> faults_;
+  Rng rng_;
 };
 
 }  // namespace sled

@@ -7,7 +7,7 @@
 namespace sled {
 
 DiskDevice::DiskDevice(DiskDeviceConfig config, std::string name)
-    : StorageDevice(std::move(name)), config_(config), rng_(config.seed) {
+    : StorageDevice(std::move(name), config.seed), config_(config) {
   SLED_CHECK(config_.capacity_bytes > 0, "disk capacity must be positive");
   SLED_CHECK(config_.num_zones >= 1, "disk needs at least one zone");
   SLED_CHECK(config_.min_seek <= config_.max_seek, "min_seek > max_seek");
@@ -58,27 +58,17 @@ DeviceCharacteristics DiskDevice::Nominal() const {
   return {avg_seek + half_rotation, avg_bw, {q(0.50), q(0.90), q(0.99)}};
 }
 
-Duration DiskDevice::Estimate(int64_t offset, int64_t nbytes) const {
-  // Expectation of Access(): the same per-request overhead and transfer, plus
-  // the mean of the random rotational delay (half a rotation) on reposition.
-  Duration t = config_.per_request_overhead + TransferTime(nbytes, BandwidthAt(offset));
-  if (!IsSequential(offset)) {
-    t += SeekTime(head_position_, offset) + RotationPeriod() / 2;
+AccessCost DiskDevice::Cost(int64_t offset, int64_t nbytes, bool /*writing*/, Rng* draw) const {
+  AccessCost c{config_.per_request_overhead + TransferTime(nbytes, BandwidthAt(offset)),
+               !IsSequential(offset)};
+  if (c.repositions) {
+    // Rotational phase is effectively random on a reposition: uniform over
+    // one rotation, half a rotation on average.
+    c.time += SeekTime(head_position_, offset) +
+              (draw != nullptr ? SecondsF(draw->UniformDouble() * RotationPeriod().ToSeconds())
+                               : RotationPeriod() / 2);
   }
-  return t;
-}
-
-Duration DiskDevice::Access(int64_t offset, int64_t nbytes, bool /*writing*/) {
-  Duration t = config_.per_request_overhead + TransferTime(nbytes, BandwidthAt(offset));
-  if (!IsSequential(offset)) {
-    // Rotational phase is effectively random on a reposition.
-    const Duration rotation =
-        SecondsF(rng_.UniformDouble() * RotationPeriod().ToSeconds());
-    t += SeekTime(head_position_, offset) + rotation;
-    CountReposition();
-  }
-  head_position_ = offset + nbytes;
-  return t;
+  return c;
 }
 
 }  // namespace sled

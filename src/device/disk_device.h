@@ -11,9 +11,6 @@
 #ifndef SLEDS_SRC_DEVICE_DISK_DEVICE_H_
 #define SLEDS_SRC_DEVICE_DISK_DEVICE_H_
 
-#include <vector>
-
-#include "src/common/rng.h"
 #include "src/device/device.h"
 
 namespace sled {
@@ -48,7 +45,6 @@ class DiskDevice final : public StorageDevice {
   explicit DiskDevice(DiskDeviceConfig config, std::string name = "disk");
 
   DeviceCharacteristics Nominal() const override;
-  Duration Estimate(int64_t offset, int64_t nbytes) const override;
   int64_t capacity_bytes() const override { return config_.capacity_bytes; }
 
   // Zone media rate at a byte address (exposed for tests and calibration).
@@ -62,13 +58,15 @@ class DiskDevice final : public StorageDevice {
   bool IsSequential(int64_t offset) const { return offset == head_position_; }
 
  protected:
-  Duration Access(int64_t offset, int64_t nbytes, bool writing) override;
+  AccessCost Cost(int64_t offset, int64_t nbytes, bool writing, Rng* draw) const override;
+  void Advance(int64_t offset, int64_t nbytes, bool /*writing*/) override {
+    head_position_ = offset + nbytes;
+  }
 
  private:
   Duration RotationPeriod() const { return SecondsF(60.0 / config_.rpm); }
 
   DiskDeviceConfig config_;
-  Rng rng_;
   int64_t head_position_ = -1;  // byte address following the last access (-1: unknown, must position)
 };
 

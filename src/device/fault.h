@@ -1,10 +1,10 @@
 // Deterministic fault injection for storage devices.
 //
-// A FaultPlan sits in front of a StorageDevice's Access() and decides, per
-// operation, whether the op fails and how a successful op's service time is
-// distorted. Everything is seeded and draws from the plan's own Rng in op
-// order, so a fixed (seed, op sequence) pair always injects the same faults —
-// error-path behavior is as replayable as the happy path.
+// A FaultPlan sits in front of a StorageDevice's Read/Write pricing and
+// decides, per operation, whether the op fails and how a successful op's
+// service time is distorted. Everything is seeded and draws from the plan's
+// own Rng in op order, so a fixed (seed, op sequence) pair always injects the
+// same faults — error-path behavior is as replayable as the happy path.
 //
 // Fault vocabulary (ISSUE: per-op failure probability, transient vs
 // persistent media errors, latency spikes, server down/slow windows):
@@ -138,7 +138,7 @@ class FaultPlan {
   // `duty` (a GC pause caught mid-flight). Ops never fail.
   void AddGcWindow(TimePoint start, TimePoint end, Duration stall, double duty);
 
-  // Consulted by StorageDevice::Read/Write *before* the access. kOk means
+  // Consulted by StorageDevice::Read/Write *before* pricing. kOk means
   // proceed; any other code fails the op fail-fast (no device time, no
   // device-model state change).
   Err Judge(bool write, int64_t offset, int64_t nbytes);

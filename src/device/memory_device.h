@@ -22,15 +22,12 @@ class MemoryDevice final : public StorageDevice {
     return {config_.latency, config_.bandwidth_bps, {}};
   }
 
-  Duration Estimate(int64_t /*offset*/, int64_t nbytes) const override {
-    return config_.latency + TransferTime(nbytes, config_.bandwidth_bps);
-  }
-
   int64_t capacity_bytes() const override { return config_.capacity_bytes; }
 
  protected:
-  Duration Access(int64_t offset, int64_t nbytes, bool /*writing*/) override {
-    return Estimate(offset, nbytes);
+  AccessCost Cost(int64_t /*offset*/, int64_t nbytes, bool /*writing*/,
+                  Rng* /*draw*/) const override {
+    return {config_.latency + TransferTime(nbytes, config_.bandwidth_bps)};
   }
 
  private:

@@ -6,7 +6,6 @@
 #ifndef SLEDS_SRC_DEVICE_NETWORK_DEVICE_H_
 #define SLEDS_SRC_DEVICE_NETWORK_DEVICE_H_
 
-#include "src/common/rng.h"
 #include "src/device/device.h"
 
 namespace sled {
@@ -27,7 +26,7 @@ struct NetworkDeviceConfig {
 class NetworkDevice final : public StorageDevice {
  public:
   explicit NetworkDevice(NetworkDeviceConfig config, std::string name = "nfs")
-      : StorageDevice(std::move(name)), config_(config), rng_(config.seed) {}
+      : StorageDevice(std::move(name), config.seed), config_(config) {}
 
   DeviceCharacteristics Nominal() const override {
     // The first-byte latency carries symmetric uniform jitter, so quantile p
@@ -39,35 +38,28 @@ class NetworkDevice final : public StorageDevice {
     return c;
   }
 
-  Duration Estimate(int64_t offset, int64_t nbytes) const override {
-    // Expectation of Access(): per-RPC overhead plus transfer, plus the
-    // first-byte latency on a stream break (the jitter factor is symmetric
-    // around 1.0, so its mean is the configured latency itself).
-    Duration t = config_.per_request_overhead + TransferTime(nbytes, config_.bandwidth_bps);
-    if (offset != stream_position_) {
-      t += config_.first_byte_latency;
-    }
-    return t;
-  }
-
   int64_t capacity_bytes() const override { return config_.capacity_bytes; }
 
  protected:
-  Duration Access(int64_t offset, int64_t nbytes, bool /*writing*/) override {
-    Duration t = config_.per_request_overhead + TransferTime(nbytes, config_.bandwidth_bps);
-    if (offset != stream_position_) {
-      const double jitter =
-          1.0 + config_.latency_jitter * (2.0 * rng_.UniformDouble() - 1.0);
-      t += SecondsF(config_.first_byte_latency.ToSeconds() * jitter);
-      CountReposition();
+  AccessCost Cost(int64_t offset, int64_t nbytes, bool /*writing*/, Rng* draw) const override {
+    AccessCost c{config_.per_request_overhead + TransferTime(nbytes, config_.bandwidth_bps),
+                 offset != stream_position_};
+    if (c.repositions) {
+      // A stream break pays the first-byte latency under symmetric jitter,
+      // so its mean is the configured latency itself.
+      c.time += draw != nullptr
+                    ? SecondsF(config_.first_byte_latency.ToSeconds() *
+                               (1.0 + config_.latency_jitter * (2.0 * draw->UniformDouble() - 1.0)))
+                    : config_.first_byte_latency;
     }
+    return c;
+  }
+  void Advance(int64_t offset, int64_t nbytes, bool /*writing*/) override {
     stream_position_ = offset + nbytes;
-    return t;
   }
 
  private:
   NetworkDeviceConfig config_;
-  Rng rng_;
   int64_t stream_position_ = -1;  // -1: no stream open yet
 };
 

@@ -8,7 +8,7 @@
 namespace sled {
 
 SsdDevice::SsdDevice(SsdDeviceConfig config, std::string name)
-    : StorageDevice(std::move(name)), config_(config), rng_(config.seed) {
+    : StorageDevice(std::move(name), config.seed), config_(config) {
   SLED_CHECK(config_.capacity_bytes > 0 && config_.page_bytes > 0 &&
                  config_.capacity_bytes % config_.page_bytes == 0,
              "ssd capacity must be a positive multiple of the page size");
@@ -65,7 +65,7 @@ void SsdDevice::RunGcCycle() {
   const double occupancy =
       1.0 - static_cast<double>(std::max<int64_t>(free_pages_, 0)) /
                 static_cast<double>(physical_pages_);
-  const double jitter = 1.0 + config_.gc_jitter * (2.0 * rng_.UniformDouble() - 1.0);
+  const double jitter = 1.0 + config_.gc_jitter * (2.0 * rng().UniformDouble() - 1.0);
   const double valid_frac =
       std::clamp(occupancy * config_.greedy_bias * jitter, 0.0, 0.95);
   const int64_t moved = static_cast<int64_t>(
@@ -79,41 +79,37 @@ void SsdDevice::RunGcCycle() {
   ++gc_cycles_;
 }
 
-Duration SsdDevice::Access(int64_t offset, int64_t nbytes, bool writing) {
-  const int64_t pages = PagesSpanned(offset, nbytes);
-  Duration t = config_.per_request_overhead +
-               ArrayTime(pages, writing ? config_.program_page : config_.read_page);
-  // Drain *pre-existing* GC debt first (bounded stall), so Estimate — which
-  // sees the same debt — prices this op exactly. GC triggered by this write
-  // becomes debt for later ops, like a real FTL's background collector.
-  const Duration stall = PendingStall();
-  t += stall;
-  gc_debt_ -= stall;
-  if (writing) {
-    const int64_t first = offset / config_.page_bytes;
-    for (int64_t p = 0; p < pages; ++p) {
-      // Out-of-place update: the old physical page (if any) becomes garbage,
-      // the logical page maps onto the next slot of the log-structured ring.
-      ftl_[static_cast<size_t>(first + p)] = next_physical_;
-      next_physical_ = (next_physical_ + 1) % physical_pages_;
-    }
-    host_pages_written_ += pages;
-    free_pages_ -= pages;
-    while (free_pages_ < 0 || free_fraction() < config_.gc_low_watermark) {
-      RunGcCycle();
-    }
+AccessCost SsdDevice::Cost(int64_t offset, int64_t nbytes, bool writing, Rng* /*draw*/) const {
+  // Flash has no positioning state, so nothing repositions. The op first
+  // drains *pre-existing* GC debt (a bounded stall), which is known state,
+  // so the price has no random term: the model's one draw, the GC victim
+  // jitter, lands in debt that later ops pay.
+  return {config_.per_request_overhead +
+          ArrayTime(PagesSpanned(offset, nbytes),
+                    writing ? config_.program_page : config_.read_page) +
+          PendingStall()};
+}
+
+void SsdDevice::Advance(int64_t offset, int64_t nbytes, bool writing) {
+  gc_debt_ -= PendingStall();  // the stall Cost charged
+  if (!writing) {
+    return;
   }
-  return t;
-}
-
-Duration SsdDevice::Estimate(int64_t offset, int64_t nbytes) const {
-  return config_.per_request_overhead +
-         ArrayTime(PagesSpanned(offset, nbytes), config_.read_page) + PendingStall();
-}
-
-Duration SsdDevice::EstimateWrite(int64_t offset, int64_t nbytes) const {
-  return config_.per_request_overhead +
-         ArrayTime(PagesSpanned(offset, nbytes), config_.program_page) + PendingStall();
+  // GC triggered by this write becomes debt for later ops, like a real FTL's
+  // background collector.
+  const int64_t pages = PagesSpanned(offset, nbytes);
+  const int64_t first = offset / config_.page_bytes;
+  for (int64_t p = 0; p < pages; ++p) {
+    // Out-of-place update: the old physical page (if any) becomes garbage,
+    // the logical page maps onto the next slot of the log-structured ring.
+    ftl_[static_cast<size_t>(first + p)] = next_physical_;
+    next_physical_ = (next_physical_ + 1) % physical_pages_;
+  }
+  host_pages_written_ += pages;
+  free_pages_ -= pages;
+  while (free_pages_ < 0 || free_fraction() < config_.gc_low_watermark) {
+    RunGcCycle();
+  }
 }
 
 DeviceCharacteristics SsdDevice::Nominal() const {

@@ -21,7 +21,6 @@
 
 #include <vector>
 
-#include "src/common/rng.h"
 #include "src/device/device.h"
 
 namespace sled {
@@ -63,8 +62,6 @@ class SsdDevice final : public StorageDevice {
   explicit SsdDevice(SsdDeviceConfig config, std::string name = "ssd");
 
   DeviceCharacteristics Nominal() const override;
-  Duration Estimate(int64_t offset, int64_t nbytes) const override;
-  Duration EstimateWrite(int64_t offset, int64_t nbytes) const override;
   int64_t capacity_bytes() const override { return config_.capacity_bytes; }
 
   // (gc + host) programs per host program; 1.0 until GC has ever run.
@@ -79,7 +76,8 @@ class SsdDevice final : public StorageDevice {
   int64_t PhysicalPageOf(int64_t logical_page) const;
 
  protected:
-  Duration Access(int64_t offset, int64_t nbytes, bool writing) override;
+  AccessCost Cost(int64_t offset, int64_t nbytes, bool writing, Rng* draw) const override;
+  void Advance(int64_t offset, int64_t nbytes, bool writing) override;
 
  private:
   int64_t PagesSpanned(int64_t offset, int64_t nbytes) const;
@@ -90,7 +88,6 @@ class SsdDevice final : public StorageDevice {
   void RunGcCycle();
 
   SsdDeviceConfig config_;
-  Rng rng_;
   int64_t logical_pages_ = 0;
   int64_t physical_pages_ = 0;
   int64_t free_pages_ = 0;

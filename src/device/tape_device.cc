@@ -7,23 +7,33 @@
 
 namespace sled {
 
+namespace {
+
+int64_t TrackLength(const TapeDeviceConfig& config) {
+  return config.capacity_bytes / config.num_tracks;
+}
+
+int TrackOf(const TapeDeviceConfig& config, int64_t offset) {
+  const int track = static_cast<int>(offset / TrackLength(config));
+  return std::min(track, config.num_tracks - 1);
+}
+
+// Physical longitudinal position (distance from the load point, in bytes of
+// track length) of a logical offset under serpentine layout.
+int64_t LongitudinalOf(const TapeDeviceConfig& config, int64_t offset) {
+  const int track = TrackOf(config, offset);
+  const int64_t within = offset - static_cast<int64_t>(track) * TrackLength(config);
+  // Even tracks run load-point -> end; odd tracks run end -> load-point.
+  return (track % 2 == 0) ? within : TrackLength(config) - within;
+}
+
+}  // namespace
+
 TapeDevice::TapeDevice(TapeDeviceConfig config, std::string name)
     : StorageDevice(std::move(name)), config_(config) {
   SLED_CHECK(config_.num_tracks >= 1, "tape needs at least one track");
   SLED_CHECK(config_.capacity_bytes % config_.num_tracks == 0,
              "tape capacity must divide evenly into tracks");
-}
-
-int TapeDevice::TrackOf(int64_t offset) const {
-  const int track = static_cast<int>(offset / TrackLength());
-  return std::min(track, config_.num_tracks - 1);
-}
-
-int64_t TapeDevice::LongitudinalOf(int64_t offset) const {
-  const int track = TrackOf(offset);
-  const int64_t within = offset - static_cast<int64_t>(track) * TrackLength();
-  // Even tracks run load-point -> end; odd tracks run end -> load-point.
-  return (track % 2 == 0) ? within : TrackLength() - within;
 }
 
 Duration TapeDevice::LocateTime(int64_t target_offset) const {
@@ -34,17 +44,8 @@ Duration TapeDevice::LocateBetween(const TapeDeviceConfig& config, int64_t from,
   if (from == to) {
     return Duration();
   }
-  const int64_t track_len = config.capacity_bytes / config.num_tracks;
-  auto track_of = [&](int64_t offset) {
-    return std::min(static_cast<int>(offset / track_len), config.num_tracks - 1);
-  };
-  auto longitudinal_of = [&](int64_t offset) {
-    const int track = track_of(offset);
-    const int64_t within = offset - static_cast<int64_t>(track) * track_len;
-    return (track % 2 == 0) ? within : track_len - within;
-  };
-  const int64_t long_dist = std::abs(longitudinal_of(to) - longitudinal_of(from));
-  const int track_switches = std::abs(track_of(to) - track_of(from));
+  const int64_t long_dist = std::abs(LongitudinalOf(config, to) - LongitudinalOf(config, from));
+  const int track_switches = std::abs(TrackOf(config, to) - TrackOf(config, from));
   return config.locate_overhead + TransferTime(long_dist, config.locate_bandwidth_bps) +
          config.track_switch * track_switches;
 }
@@ -63,8 +64,8 @@ Duration TapeDevice::Unmount() {
     return Duration();
   }
   // Rewind time proportional to how far down the tape the head sits.
-  const double frac = static_cast<double>(LongitudinalOf(position_)) /
-                      static_cast<double>(TrackLength());
+  const double frac = static_cast<double>(LongitudinalOf(config_, position_)) /
+                      static_cast<double>(TrackLength(config_));
   mounted_ = false;
   position_ = 0;
   return SecondsF(config_.rewind_max.ToSeconds() * frac);
@@ -75,43 +76,23 @@ DeviceCharacteristics TapeDevice::Nominal() const {
   // plus (amortized) a share of mount time. The paper's sleds_table would hold
   // the externally characterized value; we compute it from the model.
   const Duration avg_locate = config_.locate_overhead +
-                              TransferTime(TrackLength() / 2, config_.locate_bandwidth_bps) +
+                              TransferTime(TrackLength(config_) / 2, config_.locate_bandwidth_bps) +
                               config_.track_switch * (config_.num_tracks / 2);
   return {avg_locate, config_.read_bandwidth_bps};
 }
 
-Duration TapeDevice::Estimate(int64_t offset, int64_t nbytes) const {
-  Duration t = TransferTime(nbytes, config_.read_bandwidth_bps);
+AccessCost TapeDevice::Cost(int64_t offset, int64_t nbytes, bool /*writing*/,
+                           Rng* /*draw*/) const {
+  AccessCost c{TransferTime(nbytes, config_.read_bandwidth_bps), offset != position_};
   if (!mounted_) {
-    // Mount parks the head at the load point (position 0), so the locate cost
-    // is exactly the mounted locate from 0 — zero when offset == 0, matching
-    // what Access() charges after its implicit Mount().
-    t += config_.load_time + LocateBetween(config_, 0, offset);
-  } else {
-    t += LocateTime(offset);
+    c.time += config_.load_time;
   }
-  // Access() charges a turnaround per track boundary crossed while streaming,
-  // for reads and writes alike; fold it in so plans see the true tape cost.
-  const int crossed = TrackOf(offset + nbytes - 1) - TrackOf(offset);
-  t += config_.track_switch * crossed;
-  return t;
-}
-
-Duration TapeDevice::Access(int64_t offset, int64_t nbytes, bool /*writing*/) {
-  Duration t;
-  if (!mounted_) {
-    t += Mount();
+  if (c.repositions) {
+    c.time += LocateTime(offset);
   }
-  if (offset != position_) {
-    t += LocateTime(offset);
-    CountReposition();
-  }
-  t += TransferTime(nbytes, config_.read_bandwidth_bps);
-  // Charge turnarounds for track boundaries crossed while streaming.
-  const int crossed = TrackOf(offset + nbytes - 1) - TrackOf(offset);
-  t += config_.track_switch * crossed;
-  position_ = offset + nbytes;
-  return t;
+  // A turnaround per track boundary crossed while streaming.
+  c.time += config_.track_switch * (TrackOf(config_, offset + nbytes - 1) - TrackOf(config_, offset));
+  return c;
 }
 
 Autochanger::Autochanger(int num_tapes, int num_drives, TapeDeviceConfig tape_config,
@@ -167,15 +148,12 @@ Duration Autochanger::EnsureMounted(int tape_index) {
   return t;
 }
 
-Result<Duration> Autochanger::Read(int tape_index, int64_t offset, int64_t nbytes) {
+Result<Duration> Autochanger::Transfer(int tape_index, int64_t offset, int64_t nbytes,
+                                       bool writing) {
   Duration t = EnsureMounted(tape_index);
-  SLED_ASSIGN_OR_RETURN(Duration xfer, tapes_[tape_index]->Read(offset, nbytes));
-  return t + xfer;
-}
-
-Result<Duration> Autochanger::Write(int tape_index, int64_t offset, int64_t nbytes) {
-  Duration t = EnsureMounted(tape_index);
-  SLED_ASSIGN_OR_RETURN(Duration xfer, tapes_[tape_index]->Write(offset, nbytes));
+  TapeDevice& tape = *tapes_[tape_index];
+  SLED_ASSIGN_OR_RETURN(Duration xfer,
+                        writing ? tape.Write(offset, nbytes) : tape.Read(offset, nbytes));
   return t + xfer;
 }
 

@@ -42,7 +42,6 @@ class TapeDevice final : public StorageDevice {
   explicit TapeDevice(TapeDeviceConfig config, std::string name = "tape");
 
   DeviceCharacteristics Nominal() const override;
-  Duration Estimate(int64_t offset, int64_t nbytes) const override;
   int64_t capacity_bytes() const override { return config_.capacity_bytes; }
 
   bool mounted() const { return mounted_; }
@@ -66,18 +65,19 @@ class TapeDevice final : public StorageDevice {
   const TapeDeviceConfig& config() const { return config_; }
 
  protected:
-  Duration Access(int64_t offset, int64_t nbytes, bool writing) override;
+  // Reads and writes stream at one rate.
+  AccessCost Cost(int64_t offset, int64_t nbytes, bool writing, Rng* draw) const override;
+  void Advance(int64_t offset, int64_t nbytes, bool /*writing*/) override {
+    mounted_ = true;
+    position_ = offset + nbytes;
+  }
 
  private:
-  int64_t TrackLength() const { return config_.capacity_bytes / config_.num_tracks; }
-  int TrackOf(int64_t offset) const;
-  // Physical longitudinal position (distance from the load point, in bytes of
-  // track length) of a logical offset under serpentine layout.
-  int64_t LongitudinalOf(int64_t offset) const;
-
   TapeDeviceConfig config_;
   bool mounted_ = false;
-  int64_t position_ = 0;  // logical byte position of the head
+  // Logical byte position of the head; an unmounted tape sits at the load
+  // point (0), where Mount() threads it.
+  int64_t position_ = 0;
 };
 
 // Robotic media changer: `num_drives` TapeDevice drives fed from a library of
@@ -92,8 +92,12 @@ class Autochanger {
   // only when the tape's fault plan rejects the transfer; the mechanical
   // mount/exchange work preceding a failed transfer still happened and is
   // charged via the tape's next successful access (fail-fast contract).
-  Result<Duration> Read(int tape_index, int64_t offset, int64_t nbytes);
-  Result<Duration> Write(int tape_index, int64_t offset, int64_t nbytes);
+  Result<Duration> Read(int tape_index, int64_t offset, int64_t nbytes) {
+    return Transfer(tape_index, offset, nbytes, false);
+  }
+  Result<Duration> Write(int tape_index, int64_t offset, int64_t nbytes) {
+    return Transfer(tape_index, offset, nbytes, true);
+  }
 
   // Estimated service time without changing state.
   Duration Estimate(int tape_index, int64_t offset, int64_t nbytes) const;
@@ -117,6 +121,9 @@ class Autochanger {
   // Ensures the tape is mounted, returns the positioning cost (0 if already
   // in a drive). Updates drive LRU order.
   Duration EnsureMounted(int tape_index);
+  // The one body behind Read and Write: exchange and mount, then the
+  // tape's own transfer.
+  Result<Duration> Transfer(int tape_index, int64_t offset, int64_t nbytes, bool writing);
 
   std::vector<std::unique_ptr<TapeDevice>> tapes_;
   int num_drives_;

@@ -7,9 +7,7 @@
 namespace sled {
 
 DeviceQueue::DeviceQueue(std::string name, DeviceQueueConfig config)
-    : name_(std::move(name)), config_(config) {
-  SLED_CHECK(config_.max_merge_pages >= 1, "merge bound must be >= 1");
-}
+    : name_(std::move(name)), config_(config) {}
 
 void DeviceQueue::Push(IoRequest req) {
   SLED_CHECK(req.count > 0, "empty I/O request");
@@ -74,7 +72,7 @@ IoBatch DeviceQueue::PopBatch(TimePoint at) {
   pending_pages_[static_cast<size_t>(batch.parts.front().op)] -= batch.parts.front().count;
   pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(primary_idx));
 
-  if (config_.coalesce) {
+  if (config_.policy == IoPolicy::kClook) {
     // Grow the batch by pending candidates that extend it contiguously in
     // both the file's page space and the device address space (unknown
     // addresses merge on page adjacency alone — a single-level store keeps
@@ -92,7 +90,7 @@ IoBatch DeviceQueue::PopBatch(TimePoint at) {
       for (size_t i = 0; i < pending_.size(); ++i) {
         const IoRequest& r = pending_[i];
         if (r.submit > at || r.file != lo.file || r.op != lo.op ||
-            pages + r.count > config_.max_merge_pages) {
+            pages + r.count > kMaxMergePages) {
           continue;
         }
         const bool addr_known = r.device_addr >= 0;

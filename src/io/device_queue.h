@@ -1,7 +1,7 @@
 // DeviceQueue: the pending-request queue of one storage device (one mounted
 // file system's backing store). Holds requests between submit and dispatch,
-// picks the next request according to the configured policy, and merges
-// adjacent pending requests into one device access when coalescing is on.
+// picks the next request according to the configured policy, and (under
+// C-LOOK) merges adjacent pending requests into one device access.
 //
 // The queue itself is pure ordering logic — it never touches a device or the
 // clock. The IoScheduler owns the timeline (busy_until, completion times) and
@@ -22,13 +22,14 @@
 namespace sled {
 
 struct DeviceQueueConfig {
+  // kClook also merges pending requests that are logically and physically
+  // adjacent to the picked request into one dispatch (adjacent-request
+  // coalescing); kFifo dispatches each request alone.
   IoPolicy policy = IoPolicy::kFifo;
-  // Merge pending requests that are logically and physically adjacent to the
-  // picked request into one dispatch (adjacent-request coalescing).
-  bool coalesce = false;
-  // Upper bound on one merged dispatch, in pages.
-  int64_t max_merge_pages = 256;
 };
+
+// Upper bound on one merged dispatch, in pages.
+inline constexpr int64_t kMaxMergePages = 256;
 
 struct DeviceQueueStats {
   int64_t submitted = 0;

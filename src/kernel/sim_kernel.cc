@@ -10,7 +10,6 @@
 
 #include "src/common/log.h"
 #include "src/common/units.h"
-#include "src/progs/progs_env.h"
 
 namespace sled {
 namespace {
@@ -62,8 +61,6 @@ SimKernel::SimKernel(KernelConfig config)
   SLED_CHECK(config_.min_readahead_pages >= 1, "readahead minimum must be >= 1");
   SLED_CHECK(config_.max_readahead_pages >= config_.min_readahead_pages,
              "readahead maximum below minimum");
-  // Process-wide crossing-cost override (cached read; see progs_env.h).
-  config_.costs.syscall_overhead = SyscallCostFromEnv(config_.costs.syscall_overhead);
   obs_.SetLevelName(kMemoryLevel, "memory");
   vfs_.AttachObserver(&obs_);
 }
@@ -80,7 +77,6 @@ Result<uint32_t> SimKernel::Mount(std::string path, std::unique_ptr<FileSystem> 
   if (engine_on()) {
     DeviceQueueConfig qc;
     qc.policy = io_mode_ == IoMode::kElevator ? IoPolicy::kClook : IoPolicy::kFifo;
-    qc.coalesce = io_mode_ == IoMode::kElevator;
     StorageDevice* primary = raw->PrimaryDevice();
     std::string qname = primary != nullptr ? std::string(primary->name()) : raw->name();
     scheduler_.AttachQueue(
@@ -1225,6 +1221,9 @@ Result<int64_t> SimKernel::IoctlSledsLock(Process& p, int fd, int64_t offset, in
 Result<int64_t> SimKernel::IoctlSledsUnlock(Process& p, int fd, int64_t offset, int64_t length) {
   SyscallScope sys(*this, p, "ioctl_sleds_unlock");
   SLED_ASSIGN_OR_RETURN(OpenFile * of, FdOf(p, fd));
+  if (offset < 0 || length == 0) {
+    return Err::kInval;
+  }
   const int64_t first = length < 0 ? 0 : offset / kPageSize;
   const int64_t last =
       length < 0 ? std::numeric_limits<int64_t>::max() : (offset + length - 1) / kPageSize;

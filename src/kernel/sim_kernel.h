@@ -30,9 +30,7 @@ namespace sled {
 // increases are an acceptable price" trade-off (§5.2) visible: SLED scans and
 // extra syscalls cost real (simulated) time.
 struct CpuCosts {
-  // Per-syscall crossing cost. $SLEDS_SYSCALL_COST (nanoseconds, cached once
-  // per process) overrides this at kernel construction; unset keeps the
-  // historical 4 us, so existing BENCH output stays byte-identical.
+  // Per-syscall crossing cost.
   Duration syscall_overhead = Microseconds(4);
   Duration fault_overhead = Microseconds(15);   // per major-fault event
   Duration sled_scan_per_page = Nanoseconds(150);
@@ -176,7 +174,8 @@ class SimKernel {
   // application just planned around. Returns the number of pages pinned.
   // The kernel bounds total pins to half the cache; locks auto-release on
   // Close. Unlock releases this descriptor's pins in the range (or all,
-  // with length < 0).
+  // with length < 0); both reject a negative offset and an empty range with
+  // kInval.
   Result<int64_t> IoctlSledsLock(Process& p, int fd, int64_t offset, int64_t length);
   Result<int64_t> IoctlSledsUnlock(Process& p, int fd, int64_t offset, int64_t length);
 

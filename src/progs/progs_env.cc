@@ -12,14 +12,4 @@ bool ProgsEnabledFromEnv() {
   return enabled;
 }
 
-Duration SyscallCostFromEnv(Duration fallback) {
-  // The override is process-wide and immutable, like $SLEDS_IO_MODE: a
-  // negative, zero, or unparsable value means "no override".
-  static const long long override_ns = [] {
-    const char* v = std::getenv("SLEDS_SYSCALL_COST");
-    return v == nullptr ? -1LL : atoll(v);
-  }();
-  return override_ns > 0 ? Nanoseconds(override_ns) : fallback;
-}
-
 }  // namespace sled

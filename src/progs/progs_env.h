@@ -1,14 +1,13 @@
-// Cached process-wide environment knobs for the completion-program facility.
+// The cached process-wide environment knob of the completion-program
+// facility.
 //
 // Same contract as ResolveIoMode / FaultPlan::FromEnv (the PR 7 pattern):
-// each variable is read from the environment exactly once per process via a
+// the variable is read from the environment exactly once per process via a
 // magic static, so constructing thousands of kernels (shard worlds, the
 // open-loop engine) never re-enters getenv on a hot path and every world in
 // a process sees one consistent setting.
 #ifndef SLEDS_SRC_PROGS_PROGS_ENV_H_
 #define SLEDS_SRC_PROGS_PROGS_ENV_H_
-
-#include "src/common/sim_time.h"
 
 namespace sled {
 
@@ -16,12 +15,6 @@ namespace sled {
 // (shell wc/grep/chain, fimhisto) default to using it. The explicit -p flag
 // turns a single invocation on regardless.
 bool ProgsEnabledFromEnv();
-
-// $SLEDS_SYSCALL_COST: per-syscall crossing cost in nanoseconds, applied to
-// CpuCosts.syscall_overhead at kernel construction. Unset or unparsable
-// returns `fallback` (the historical 4 us), keeping faults-off BENCH output
-// byte-identical when the knob is absent.
-Duration SyscallCostFromEnv(Duration fallback);
 
 }  // namespace sled
 

@@ -1,5 +1,5 @@
-// Estimate-vs-Access parity: for every device model, the contract is
-// "Estimate is the expectation of Access" (see StorageDevice::Estimate).
+// Estimate-vs-access parity: for every device model, the contract is
+// "Estimate is the expectation of the access" (see StorageDevice::Estimate).
 // Deterministic models must match exactly; models with stochastic terms must
 // stay inside the configured range of those terms, and their *average* error
 // over many draws must vanish.
@@ -35,7 +35,7 @@ TEST(EstimateParityTest, MemoryIsExact) {
   MemoryDevice mem(MemoryDeviceConfig{});
   for (const int64_t off : RandomOffsets(mem.capacity_bytes(), MiB(1), 50, 11)) {
     EXPECT_EQ(mem.Estimate(off, MiB(1)), mem.Read(off, MiB(1)).value());
-    EXPECT_EQ(mem.EstimateWrite(off, MiB(1)), mem.Write(off, MiB(1)).value());
+    EXPECT_EQ(mem.Estimate(off, MiB(1), /*writing=*/true), mem.Write(off, MiB(1)).value());
   }
 }
 
@@ -103,7 +103,7 @@ TEST(EstimateParityTest, CdRomWithinJitterRange) {
     // mean exactly the seek. Reads and burns share the cost model.
     const double max_dev = off == position ? 0.0 : 0.1 * cd.SeekTime(position, off).ToSeconds();
     const double e = cd.Estimate(off, kPageSize).ToSeconds();
-    EXPECT_EQ(cd.EstimateWrite(off, kPageSize), cd.Estimate(off, kPageSize));
+    EXPECT_EQ(cd.Estimate(off, kPageSize, /*writing=*/true), cd.Estimate(off, kPageSize));
     const double t = cd.Read(off, kPageSize).value().ToSeconds();
     EXPECT_NEAR(t, e, max_dev + 1e-9);
     err_sum += t - e;
@@ -168,7 +168,7 @@ TEST(EstimateParityTest, TapeIsExactIncludingMountAndTrackCrossing) {
     (void)tape.Read(off, kPageSize);  // park just before the boundary
     const Duration e = tape.Estimate(off + kPageSize, MiB(2));
     EXPECT_EQ(e, tape.Read(off + kPageSize, MiB(2)).value());
-    EXPECT_EQ(tape.EstimateWrite(off, MiB(2)), tape.Estimate(off, MiB(2)));
+    EXPECT_EQ(tape.Estimate(off, MiB(2), /*writing=*/true), tape.Estimate(off, MiB(2)));
   }
   // Random mounted pattern: locate arithmetic is deterministic.
   {
@@ -191,7 +191,7 @@ TEST(EstimateParityTest, SsdIsExactIncludingGcDebt) {
   for (int i = 0; i < 2000; ++i) {
     const int64_t off = PageFloor(rng.Uniform(0, config.capacity_bytes - MiB(1)));
     if (rng.Bernoulli(0.7)) {
-      const Duration e = ssd.EstimateWrite(off, MiB(1));
+      const Duration e = ssd.Estimate(off, MiB(1), /*writing=*/true);
       EXPECT_EQ(e, ssd.Write(off, MiB(1)).value()) << "write " << i;
     } else {
       const Duration e = ssd.Estimate(off, MiB(1));

@@ -67,7 +67,6 @@ TEST(DeviceQueueTest, ClookServesAscendingThenWraps) {
 TEST(DeviceQueueTest, CoalesceMergesAdjacentRequestsBothWays) {
   DeviceQueueConfig config;
   config.policy = IoPolicy::kClook;
-  config.coalesce = true;
   DeviceQueue q("disk", config);
   // Three requests, contiguous in pages and device addresses, submitted out
   // of page order. The primary (lowest address) attracts both neighbours.
@@ -88,14 +87,13 @@ TEST(DeviceQueueTest, CoalesceMergesAdjacentRequestsBothWays) {
 TEST(DeviceQueueTest, CoalesceRespectsMergeBoundAndGaps) {
   DeviceQueueConfig config;
   config.policy = IoPolicy::kClook;
-  config.coalesce = true;
-  config.max_merge_pages = 6;
   DeviceQueue q("disk", config);
-  q.Push(MakeReq(1, 0, 4, 0));
-  q.Push(MakeReq(2, 4, 4, 4 * kPageSize));   // would exceed the 6-page bound
-  q.Push(MakeReq(3, 20, 4, 20 * kPageSize));  // not adjacent at all
+  const int64_t n = kMaxMergePages - 2;
+  q.Push(MakeReq(1, 0, n, 0));
+  q.Push(MakeReq(2, n, 4, n * kPageSize));  // would exceed the merge bound
+  q.Push(MakeReq(3, n + 20, 4, (n + 20) * kPageSize));  // not adjacent at all
   const IoBatch batch = q.PopBatch(TimePoint());
-  EXPECT_EQ(batch.merged.count, 4);
+  EXPECT_EQ(batch.merged.count, n);
   EXPECT_EQ(q.depth(), 2);
   // File-page adjacency without device-address adjacency must not merge
   // (interleaved extents of different files).

@@ -182,5 +182,23 @@ TEST(SledsLockTest, LockBudgetEnforcedThroughIoctl) {
   ASSERT_TRUE(w.kernel->Close(*w.proc, fd).ok());
 }
 
+TEST(SledsLockTest, UnlockRejectsEmptyAndNegativeRanges) {
+  World w = MakeWorld(64);
+  WriteFile(w, "/a", 16 * kPageSize);
+  const int fd = w.kernel->Open(*w.proc, "/a").value();
+  std::vector<char> buf(static_cast<size_t>(16 * kPageSize));
+  ASSERT_TRUE(w.kernel->Read(*w.proc, fd, std::span<char>(buf.data(), buf.size())).ok());
+  ASSERT_EQ(w.kernel->IoctlSledsLock(*w.proc, fd, 0, 16 * kPageSize).value(), 16);
+  // An empty range names no page; it must not release the one holding
+  // `offset`.
+  EXPECT_EQ(w.kernel->IoctlSledsUnlock(*w.proc, fd, 100, 0).error(), Err::kInval);
+  EXPECT_EQ(w.kernel->IoctlSledsUnlock(*w.proc, fd, -1, 8).error(), Err::kInval);
+  EXPECT_EQ(w.kernel->cache().pinned_pages(), 16);
+  EXPECT_EQ(w.kernel->IoctlSledsUnlock(*w.proc, fd, 100, 1).value(), 1);
+  EXPECT_EQ(w.kernel->IoctlSledsUnlock(*w.proc, fd, 0, -1).value(), 15);
+  EXPECT_EQ(w.kernel->cache().pinned_pages(), 0);
+  ASSERT_TRUE(w.kernel->Close(*w.proc, fd).ok());
+}
+
 }  // namespace
 }  // namespace sled
