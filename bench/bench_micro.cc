@@ -1,6 +1,6 @@
 // Microbenchmarks for the SLEDs hot paths: cache ops, kernel SLED scans,
 // picker stepping, wc's count, the Horspool search, random draws and text
-// generation, and FITS pixel codecs.
+// generation, the FITS pixel and row codecs, and the histogram loops.
 // These bound the CPU overhead the SLEDs machinery adds per I/O.
 //
 // Two layers:
@@ -239,6 +239,79 @@ void BM_FitsPixelCodec(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FitsPixelCodec)->Arg(16)->Arg(-32)->Arg(-64);
+
+// One fimhisto/fimgbin run's worth of pixels (16 Ki elements): the FITS
+// generator's gradient plus noise.
+std::vector<double> RunPixels() {
+  constexpr int64_t kSide = 128;
+  Rng rng(3);
+  std::vector<double> pixels;
+  for (int64_t i = 0; i < kSide * kSide; ++i) {
+    pixels.push_back(100.0 * static_cast<double>(i % kSide + i / kSide) / (2 * kSide) +
+                     rng.Normal(0.0, 5.0));
+  }
+  return pixels;
+}
+
+// The row decoder every FITS read goes through (ReadRun, FitsReadImage, the
+// kHistogram program).
+void BM_FitsDecodeRow(benchmark::State& state) {
+  const int bitpix = static_cast<int>(state.range(0));
+  const std::vector<double> pixels = RunPixels();
+  std::vector<char> bytes(pixels.size() * static_cast<size_t>(ProgElementSize(bitpix)));
+  FitsEncodeRow(pixels, bitpix, bytes.data());
+  std::vector<double> out(pixels.size());
+  for (auto _ : state) {
+    FitsDecodeRow(bytes.data(), bitpix, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  SetNsPer(state, "pixel", pixels.size());
+}
+BENCHMARK(BM_FitsDecodeRow)->Arg(16)->Arg(-32)->Arg(-64);
+
+// The row encoder every FITS write goes through (FitsWriteImageRows).
+void BM_FitsEncodeRow(benchmark::State& state) {
+  const int bitpix = static_cast<int>(state.range(0));
+  const std::vector<double> pixels = RunPixels();
+  std::vector<char> bytes(pixels.size() * static_cast<size_t>(ProgElementSize(bitpix)));
+  for (auto _ : state) {
+    FitsEncodeRow(pixels, bitpix, bytes.data());
+    benchmark::DoNotOptimize(bytes.data());
+    benchmark::ClobberMemory();
+  }
+  SetNsPer(state, "pixel", pixels.size());
+}
+BENCHMARK(BM_FitsEncodeRow)->Arg(16)->Arg(-32)->Arg(-64);
+
+// fimhisto's pass 2 and the kHistogram program's min/max phase.
+void BM_HistogramMinMax(benchmark::State& state) {
+  const std::vector<double> pixels = RunPixels();
+  for (auto _ : state) {
+    double lo = std::numeric_limits<double>::infinity();
+    double hi = -lo;
+    HistogramMinMax(pixels, &lo, &hi);
+    benchmark::DoNotOptimize(lo);
+    benchmark::DoNotOptimize(hi);
+  }
+  SetNsPer(state, "pixel", pixels.size());
+}
+BENCHMARK(BM_HistogramMinMax);
+
+// fimhisto's pass 3 and the kHistogram program's binning phase, 64 bins.
+void BM_HistogramBin(benchmark::State& state) {
+  const std::vector<double> pixels = RunPixels();
+  const auto [lo, hi] = std::minmax_element(pixels.begin(), pixels.end());
+  std::vector<int64_t> bins(64, 0);
+  const double width = (*hi - *lo) / static_cast<double>(bins.size());
+  for (auto _ : state) {
+    HistogramBin(pixels, *lo, width, bins);
+    benchmark::DoNotOptimize(bins.data());
+    benchmark::ClobberMemory();
+  }
+  SetNsPer(state, "pixel", pixels.size());
+}
+BENCHMARK(BM_HistogramBin);
 
 void BM_KernelCachedRead(benchmark::State& state) {
   KernelFixture fx(256);

@@ -44,10 +44,11 @@ echo "==== figure goldens: wc / grep / fimhisto / fimgbin / CD-ROM faults figure
 # figures unchanged. wc and grep also run under the elevator I/O engine, which
 # gates its read path, its readahead tail and Write's read-modify-write
 # through the engine. The build metadata line (compiler, flags, git sha,
-# host) is dropped before comparing. fig09 runs at 24 and 48 MB, one size on
-# each side of the 40 MiB cache, so it pins the CD-ROM model and the fault
-# reduction SLEDs buy above the cache. Refresh after an intentional model
-# change with:
+# host) is dropped before comparing. fig09 runs at 24 and 48 MB, and fimhisto
+# and fimgbin again at 8 and 48 MB (`*.48.txt`), one size on each side of the
+# 40 MiB cache: above it, pick order matters, so these pin the fault reduction
+# and the speedup SLEDs buy, and the FITS apps' SLEDs runs that start mid-row.
+# Refresh after an intentional model change with:
 #   for b in fig07_08_wc_nfs fig11_12_grep_first_ext2 fig14_fimhisto fig15_fimgbin; do
 #     SLEDS_BENCH_MAX_MB=8 ./build/bench/bench_$b 2>/dev/null |
 #       sed '/^  "build": /d' > bench/golden/bench_$b.txt; done
@@ -56,6 +57,9 @@ echo "==== figure goldens: wc / grep / fimhisto / fimgbin / CD-ROM faults figure
 #       sed '/^  "build": /d' > bench/golden/bench_$b.elevator.txt; done
 #   SLEDS_BENCH_MAX_MB=48 SLEDS_BENCH_STEP_MB=24 ./build/bench/bench_fig09_wc_cdrom_faults \
 #     2>/dev/null | sed '/^  "build": /d' > bench/golden/bench_fig09_wc_cdrom_faults.txt
+#   for b in fig14_fimhisto fig15_fimgbin; do
+#     SLEDS_BENCH_MAX_MB=48 SLEDS_BENCH_STEP_MB=40 ./build/bench/bench_$b 2>/dev/null |
+#       sed '/^  "build": /d' > bench/golden/bench_$b.48.txt; done
 #   ./build/bench/bench_ext_estimate_accuracy 2>/dev/null |
 #     sed '/^  "build": /d' > bench/golden/bench_ext_estimate_accuracy.txt
 for b in fig07_08_wc_nfs fig11_12_grep_first_ext2 fig14_fimhisto fig15_fimgbin; do
@@ -68,6 +72,10 @@ for b in fig07_08_wc_nfs fig11_12_grep_first_ext2; do
 done
 SLEDS_BENCH_MAX_MB=48 SLEDS_BENCH_STEP_MB=24 ./build/bench/bench_fig09_wc_cdrom_faults 2>/dev/null |
   sed '/^  "build": /d' | diff -u bench/golden/bench_fig09_wc_cdrom_faults.txt -
+for b in fig14_fimhisto fig15_fimgbin; do
+  SLEDS_BENCH_MAX_MB=48 SLEDS_BENCH_STEP_MB=40 "./build/bench/bench_${b}" 2>/dev/null |
+    sed '/^  "build": /d' | diff -u "bench/golden/bench_${b}.48.txt" -
+done
 
 echo "==== fault bench: graceful degradation sweep ===="
 # Fails the gate on crash or hang; BENCH_fault.json shows bounded retries and
@@ -150,7 +158,9 @@ if [[ "${SKIP_SAN:-}" == "1" ]]; then
   echo "==== sanitizer pass skipped (SKIP_SAN=1) ===="
 else
   echo "==== sanitizers: ASan+UBSan build + ctest ===="
-  SAN_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -fno-omit-frame-pointer"
+  # GCC's -fsanitize=undefined leaves out float-cast-overflow, which traps a
+  # NaN or out-of-range double converted to an integer (histogram binning).
+  SAN_FLAGS="-fsanitize=address,undefined,float-cast-overflow -fno-sanitize-recover=all -fno-omit-frame-pointer"
   cmake -B build-asan -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS="${SAN_FLAGS}" \

@@ -59,22 +59,27 @@ Result<FimgbinResult> FimgbinApp::Run(SimKernel& kernel, Process& process, std::
       }));
   SLED_RETURN_IF_ERROR(kernel.Close(process, in_fd));
 
-  // Average and write the reduced image (same BITPIX as the input).
+  // Average and write the reduced image (same BITPIX as the input) one output
+  // row at a time, scaling the sums in place.
   FimgbinResult result;
   result.out_width = out_w;
   result.out_height = out_h;
-  FitsImage out_image;
-  out_image.header.bitpix = header.bitpix;
-  out_image.header.naxis = {out_w, out_h};
-  out_image.pixels.resize(sums.size());
+  FitsHeader out_header;
+  out_header.bitpix = header.bitpix;
+  out_header.naxis = {out_w, out_h};
   const double scale = 1.0 / (static_cast<double>(options.boxcar) * options.boxcar);
-  for (size_t i = 0; i < sums.size(); ++i) {
-    out_image.pixels[i] = sums[i] * scale;
-    result.output_sum += out_image.pixels[i];
-  }
   kernel.ChargeAppCpu(process,
                       options.costs.image_per_element * static_cast<int64_t>(sums.size()));
-  SLED_RETURN_IF_ERROR(FitsWriteImage(kernel, process, output, out_image));
+  double* next_row = sums.data();
+  SLED_RETURN_IF_ERROR(FitsWriteImageRows(kernel, process, output, out_header, [&] {
+    const std::span<double> row(next_row, static_cast<size_t>(out_w));
+    next_row += out_w;
+    for (double& v : row) {
+      v *= scale;
+      result.output_sum += v;
+    }
+    return std::span<const double>(row);
+  }));
   return result;
 }
 

@@ -1,10 +1,10 @@
 #include "src/apps/fimhisto.h"
 
-#include <algorithm>
 #include <cmath>
 #include <limits>
 
 #include "src/apps/fits_scan.h"
+#include "src/progs/program.h"
 
 namespace sled {
 namespace {
@@ -95,10 +95,7 @@ Result<FimhistoResult> FimhistoApp::Run(SimKernel& kernel, Process& process,
   SLED_RETURN_IF_ERROR(FitsScanElements(
       kernel, process, in_fd, header, options.use_sleds, options.buffer_elements, options.costs,
       [&](int64_t /*first*/, std::span<const double> values) {
-        for (double v : values) {
-          lo = std::min(lo, v);
-          hi = std::max(hi, v);
-        }
+        HistogramMinMax(values, &lo, &hi);
         kernel.ChargeAppCpu(process,
                             options.costs.image_per_element *
                                 static_cast<int64_t>(values.size()));
@@ -116,11 +113,7 @@ Result<FimhistoResult> FimhistoApp::Run(SimKernel& kernel, Process& process,
   SLED_RETURN_IF_ERROR(FitsScanElements(
       kernel, process, in_fd, header, options.use_sleds, options.buffer_elements, options.costs,
       [&](int64_t /*first*/, std::span<const double> values) {
-        for (double v : values) {
-          int bin = static_cast<int>((v - lo) / width);
-          bin = std::clamp(bin, 0, options.num_bins - 1);
-          ++result.bins[static_cast<size_t>(bin)];
-        }
+        HistogramBin(values, lo, width, result.bins);
         kernel.ChargeAppCpu(process,
                             options.costs.image_per_element *
                                 static_cast<int64_t>(values.size()));

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "src/fits/ffsleds.h"
+#include "src/progs/program.h"
 
 namespace sled {
 namespace {
@@ -23,9 +24,7 @@ Result<void> ReadRun(SimKernel& kernel, Process& process, int fd, const FitsHead
     return Err::kIo;
   }
   decoded->resize(static_cast<size_t>(count));
-  for (int64_t i = 0; i < count; ++i) {
-    (*decoded)[static_cast<size_t>(i)] = FitsDecodePixel(raw->data() + i * elem, header.bitpix);
-  }
+  FitsDecodeRow(raw->data(), header.bitpix, *decoded);
   kernel.ChargeAppCpu(process, costs.fits_per_element * count);
   fn(first, std::span<const double>(decoded->data(), decoded->size()));
   return Result<void>::Ok();

@@ -8,6 +8,7 @@
 #include <limits>
 
 #include "src/common/log.h"
+#include "src/progs/program.h"
 
 namespace sled {
 namespace {
@@ -42,6 +43,16 @@ uint64_t GetBe(const char* in, int n) {
     v = (v << 8) | static_cast<uint8_t>(in[i]);
   }
   return v;
+}
+
+// The one row-encode loop: `to_bits` maps a value to the host-order bits of
+// the element's unsigned integer `U`.
+template <typename U, typename ToBits>
+void EncodeBeRow(std::span<const double> values, char* out, ToBits to_bits) {
+  for (size_t i = 0; i < values.size(); ++i) {
+    const U bits = ByteSwap(static_cast<U>(to_bits(values[i])));
+    std::memcpy(out + i * sizeof(U), &bits, sizeof(U));
+  }
 }
 
 int64_t SaturateRound(double v, int64_t lo, int64_t hi) {
@@ -144,6 +155,21 @@ Result<FitsHeader> FitsParseHeader(std::string_view bytes) {
       return Err::kInval;
   }
   header.data_offset = static_cast<int64_t>(((pos + kFitsBlock - 1) / kFitsBlock) * kFitsBlock);
+  // Every size the header implies must fit in int64: the header plus the data
+  // unit padded to the block, which is the axis product times the element
+  // size. The element size goes first, so no partial product here is smaller
+  // than element_count()'s.
+  int64_t data_bytes = header.naxis.empty() ? 0 : header.element_size();
+  for (const int64_t d : header.naxis) {
+    if (__builtin_mul_overflow(data_bytes, d, &data_bytes)) {
+      return Err::kInval;
+    }
+  }
+  const int64_t pad = (kFitsBlock - data_bytes % kFitsBlock) % kFitsBlock;
+  if (int64_t end = 0; __builtin_add_overflow(data_bytes, pad, &end) ||
+                       __builtin_add_overflow(end, header.data_offset, &end)) {
+    return Err::kInval;
+  }
   return header;
 }
 
@@ -170,6 +196,31 @@ void FitsEncodePixel(double value, int bitpix, char* out) {
     case -64:
       PutBe(std::bit_cast<uint64_t>(value), 8, out);
       return;
+    default:
+      SLED_CHECK(false, "unsupported BITPIX %d", bitpix);
+  }
+}
+
+void FitsEncodeRow(std::span<const double> values, int bitpix, char* out) {
+  switch (bitpix) {
+    case 8:
+      return EncodeBeRow<uint8_t>(values, out, [](double v) { return SaturateRound(v, 0, 255); });
+    case 16:
+      return EncodeBeRow<uint16_t>(values, out, [](double v) {
+        return SaturateRound(v, std::numeric_limits<int16_t>::min(),
+                             std::numeric_limits<int16_t>::max());
+      });
+    case 32:
+      return EncodeBeRow<uint32_t>(values, out, [](double v) {
+        return SaturateRound(v, std::numeric_limits<int32_t>::min(),
+                             std::numeric_limits<int32_t>::max());
+      });
+    case -32:
+      return EncodeBeRow<uint32_t>(
+          values, out, [](double v) { return std::bit_cast<uint32_t>(static_cast<float>(v)); });
+    case -64:
+      return EncodeBeRow<uint64_t>(values, out,
+                                   [](double v) { return std::bit_cast<uint64_t>(v); });
     default:
       SLED_CHECK(false, "unsupported BITPIX %d", bitpix);
   }
@@ -213,12 +264,14 @@ Result<void> FitsWriteImageRows(SimKernel& kernel, Process& process, std::string
     return Result<void>::Ok();
   };
   for (int64_t y = 0; y < rows; ++y) {
-    const std::span<const double> row = next_row();
+    std::span<const double> row = next_row();
     SLED_CHECK(row.size() == static_cast<size_t>(row_len), "FITS row of %zu pixels, want %lld",
                row.size(), static_cast<long long>(row_len));
-    for (double v : row) {
-      FitsEncodePixel(v, header.bitpix, chunk.data() + used);
-      used += elem;
+    while (!row.empty()) {
+      const size_t n = std::min(row.size(), (kChunk - used) / elem);
+      FitsEncodeRow(row.first(n), header.bitpix, chunk.data() + used);
+      used += n * elem;
+      row = row.subspan(n);
       if (used == kChunk) {
         SLED_RETURN_IF_ERROR(flush());
       }
@@ -276,34 +329,33 @@ Result<FitsImage> FitsReadImage(SimKernel& kernel, Process& process, std::string
   SLED_ASSIGN_OR_RETURN(FitsHeader header, FitsReadHeader(kernel, process, fd));
   FitsImage image;
   image.header = header;
-  image.pixels.reserve(static_cast<size_t>(header.element_count()));
+  image.pixels.resize(static_cast<size_t>(header.element_count()));
   SLED_RETURN_IF_ERROR(kernel.Lseek(process, fd, header.data_offset, Whence::kSet));
-  const int64_t elem = header.element_size();
-  std::vector<char> buf(static_cast<size_t>(64 * kKiB));
-  int64_t remaining = header.data_bytes();
-  std::string carry;
-  while (remaining > 0) {
-    const int64_t want = std::min<int64_t>(static_cast<int64_t>(buf.size()), remaining);
+  constexpr int64_t kRead = 64 * kKiB;
+  const size_t elem = static_cast<size_t>(header.element_size());
+  // Room for one read behind the partial element a short read may leave.
+  std::vector<char> buf(static_cast<size_t>(kRead) + elem);
+  size_t held = 0;
+  std::span<double> unfilled(image.pixels);
+  for (int64_t remaining = header.data_bytes(); remaining > 0;) {
+    const int64_t want = std::min(kRead, remaining);
     SLED_ASSIGN_OR_RETURN(
-        int64_t n, kernel.Read(process, fd, std::span<char>(buf.data(), static_cast<size_t>(want))));
+        int64_t n,
+        kernel.Read(process, fd, std::span<char>(buf.data() + held, static_cast<size_t>(want))));
     if (n <= 0) {
       // Error path: fd cleanup is best-effort; the original error is the story.
       (void)kernel.Close(process, fd);
       return Err::kInval;
     }
-    carry.append(buf.data(), static_cast<size_t>(n));
-    size_t consumed = 0;
-    while (carry.size() - consumed >= static_cast<size_t>(elem)) {
-      image.pixels.push_back(FitsDecodePixel(carry.data() + consumed, header.bitpix));
-      consumed += static_cast<size_t>(elem);
-    }
-    carry.erase(0, consumed);
+    held += static_cast<size_t>(n);
     remaining -= n;
+    const size_t whole = held / elem;
+    FitsDecodeRow(buf.data(), header.bitpix, unfilled.first(whole));
+    unfilled = unfilled.subspan(whole);
+    held -= whole * elem;
+    std::memmove(buf.data(), buf.data() + whole * elem, held);
   }
   SLED_RETURN_IF_ERROR(kernel.Close(process, fd));
-  if (image.pixels.size() != static_cast<size_t>(header.element_count())) {
-    return Err::kInval;
-  }
   return image;
 }
 

@@ -66,9 +66,16 @@ std::string FitsEncodeHeader(const FitsHeader& header);
 Result<FitsHeader> FitsParseHeader(std::string_view bytes);
 
 // Big-endian pixel encode/decode for any supported BITPIX. `out` must have
-// element_size bytes. Integer BITPIX values round and saturate.
+// element_size bytes. Integer BITPIX values round to nearest even and
+// saturate; NaN encodes as 0. These are the per-pixel reference for the row
+// codec: FitsEncodeRow below and FitsDecodeRow (src/progs/program.h).
 void FitsEncodePixel(double value, int bitpix, char* out);
 double FitsDecodePixel(const char* in, int bitpix);
+
+// Encodes `values` into values.size() * element_size bytes at `out` (any
+// alignment), byte for byte as FitsEncodePixel would, choosing the BITPIX
+// case once per row.
+void FitsEncodeRow(std::span<const double> values, int bitpix, char* out);
 
 // ---- kernel-level I/O (costed through the simulated OS) ----
 

@@ -6,6 +6,8 @@
 #include <cstring>
 #include <limits>
 
+#include "src/common/log.h"
+
 namespace sled {
 namespace {
 
@@ -30,13 +32,21 @@ void CountWcBlock(const char* block, WcCounts* counts) {
   counts->words += starts;
 }
 
-uint64_t GetBe(const char* in, int n) {
-  uint64_t v = 0;
-  for (int i = 0; i < n; ++i) {
-    v = (v << 8) | static_cast<uint8_t>(in[i]);
+static_assert(std::endian::native == std::endian::little, "FITS rows are byte-swapped");
+
+// The one row-decode loop: `U` is the element's unsigned integer of the same
+// width, `to_double` maps its host-order bits to the value.
+template <typename U, typename ToDouble>
+void DecodeBeRow(const char* in, std::span<double> out, ToDouble to_double) {
+  for (size_t i = 0; i < out.size(); ++i) {
+    U bits;
+    std::memcpy(&bits, in + i * sizeof(U), sizeof(U));
+    out[i] = to_double(ByteSwap(bits));
   }
-  return v;
 }
+
+// Elements the kHistogram program decodes per on-stack block.
+constexpr int64_t kHistogramBlock = 512;
 
 int64_t ReadI64Le(std::string_view data, size_t at) {
   uint64_t v = 0;
@@ -50,20 +60,49 @@ int64_t ReadI64Le(std::string_view data, size_t at) {
 
 int64_t ProgElementSize(int bitpix) { return (bitpix < 0 ? -bitpix : bitpix) / 8; }
 
-double ProgDecodeBe(const char* in, int bitpix) {
+void FitsDecodeRow(const char* in, int bitpix, std::span<double> out) {
   switch (bitpix) {
     case 8:
-      return static_cast<double>(GetBe(in, 1));
+      return DecodeBeRow<uint8_t>(in, out, [](uint8_t b) { return static_cast<double>(b); });
     case 16:
-      return static_cast<double>(static_cast<int16_t>(GetBe(in, 2)));
+      return DecodeBeRow<uint16_t>(
+          in, out, [](uint16_t b) { return static_cast<double>(static_cast<int16_t>(b)); });
     case 32:
-      return static_cast<double>(static_cast<int32_t>(GetBe(in, 4)));
+      return DecodeBeRow<uint32_t>(
+          in, out, [](uint32_t b) { return static_cast<double>(static_cast<int32_t>(b)); });
     case -32:
-      return static_cast<double>(std::bit_cast<float>(static_cast<uint32_t>(GetBe(in, 4))));
+      return DecodeBeRow<uint32_t>(
+          in, out, [](uint32_t b) { return static_cast<double>(std::bit_cast<float>(b)); });
     case -64:
-      return std::bit_cast<double>(GetBe(in, 8));
+      return DecodeBeRow<uint64_t>(in, out, [](uint64_t b) { return std::bit_cast<double>(b); });
     default:
-      return 0.0;  // Create() rejects other widths
+      SLED_CHECK(false, "unsupported BITPIX %d", bitpix);
+  }
+}
+
+void HistogramMinMax(std::span<const double> values, double* lo, double* hi) {
+  double low = *lo;
+  double high = *hi;
+  for (const double v : values) {
+    low = std::min(low, v);
+    high = std::max(high, v);
+  }
+  *lo = low;
+  *hi = high;
+}
+
+void HistogramBin(std::span<const double> values, double lo, double width,
+                  std::span<int64_t> bins) {
+  // static_cast<int> is defined only for quotients in (INT_MIN - 1, INT_MAX + 1).
+  constexpr double kAboveInt = 2147483648.0;
+  constexpr double kBelowInt = -2147483649.0;
+  const int last = static_cast<int>(bins.size()) - 1;
+  for (const double v : values) {
+    const double q = (v - lo) / width;
+    // NaN fails both compares. Bin 0 matches x86-64's unchecked conversion:
+    // cvttsd2si gives INT_MIN, which the clamp sends to 0.
+    const int bin = q > kBelowInt && q < kAboveInt ? std::clamp(static_cast<int>(q), 0, last) : 0;
+    ++bins[static_cast<size_t>(bin)];
   }
 }
 
@@ -127,6 +166,12 @@ Result<CompletionProgram> CompletionProgram::Create(const ProgSpec& spec) {
       if (ProgElementSize(spec.bitpix) == 0 ||
           (spec.bitpix != 8 && spec.bitpix != 16 && spec.bitpix != 32 && spec.bitpix != -32 &&
            spec.bitpix != -64)) {
+        return Err::kInval;
+      }
+      // Start() computes the data unit's end; it must fit in int64.
+      if (int64_t end = 0;
+          __builtin_mul_overflow(spec.element_count, ProgElementSize(spec.bitpix), &end) ||
+          __builtin_add_overflow(end, spec.data_offset, &end)) {
         return Err::kInval;
       }
       break;
@@ -306,19 +351,17 @@ CompletionProgram::Action CompletionProgram::HistogramChunk(std::string_view dat
     return Abort(ProgStatus::kFaulted);
   }
   const int64_t elems = static_cast<int64_t>(data.size()) / elem_size_;
-  const char* in = data.data();
-  if (phase_ == 0) {
-    for (int64_t i = 0; i < elems; ++i, in += elem_size_) {
-      const double v = ProgDecodeBe(in, spec_.bitpix);
-      lo_ = std::min(lo_, v);
-      hi_ = std::max(hi_, v);
-    }
-  } else {
-    for (int64_t i = 0; i < elems; ++i, in += elem_size_) {
-      const double v = ProgDecodeBe(in, spec_.bitpix);
-      int bin = static_cast<int>((v - lo_) / width_);
-      bin = std::clamp(bin, 0, spec_.num_bins - 1);
-      ++result_.bins[static_cast<size_t>(bin)];
+  // A fixed on-stack block keeps the program allocation-free.
+  std::array<double, kHistogramBlock> block;
+  const std::span<int64_t> bins(result_.bins.data(), static_cast<size_t>(spec_.num_bins));
+  for (int64_t at = 0; at < elems; at += kHistogramBlock) {
+    const std::span<double> values(block.data(),
+                                   static_cast<size_t>(std::min(kHistogramBlock, elems - at)));
+    FitsDecodeRow(data.data() + at * elem_size_, spec_.bitpix, values);
+    if (phase_ == 0) {
+      HistogramMinMax(values, &lo_, &hi_);
+    } else {
+      HistogramBin(values, lo_, width_, bins);
     }
   }
   elements_done_ += elems;

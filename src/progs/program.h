@@ -33,6 +33,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -217,11 +218,46 @@ class CompletionProgram {
   double width_ = 1.0;
 };
 
-// The exact big-endian FITS pixel decode used by src/fits (duplicated here
-// because progs sits below the kernel in the layering; progs_test pins the
-// two against each other). Reads ElementSize(bitpix) bytes from `in`.
-double ProgDecodeBe(const char* in, int bitpix);
 int64_t ProgElementSize(int bitpix);
+
+// Reverses the byte order of an unsigned integer: FITS data is big-endian,
+// the host little-endian.
+template <typename U>
+constexpr U ByteSwap(U v) {
+  if constexpr (sizeof(U) == 1) {
+    return v;
+  } else if constexpr (sizeof(U) == 2) {
+    return __builtin_bswap16(v);
+  } else if constexpr (sizeof(U) == 4) {
+    return __builtin_bswap32(v);
+  } else {
+    return __builtin_bswap64(v);
+  }
+}
+
+// Decodes out.size() big-endian FITS elements of `bitpix` (8, 16, 32, -32 or
+// -64) from `in`, which holds out.size() * ProgElementSize(bitpix) bytes at
+// any alignment. The one row decode behind the FITS apps' reads and the
+// kHistogram program; it lives here because progs sits below the kernel and
+// src/fits above it. The BITPIX case is chosen once per row, and every value
+// is bit-identical to FitsDecodePixel's, the per-pixel reference.
+void FitsDecodeRow(const char* in, int bitpix, std::span<double> out);
+
+// The histogram's two reductions, each the one loop behind both fimhisto's
+// passes and the kHistogram program. Both keep their running state in
+// locals and may be fed a pass in any split.
+//
+// HistogramMinMax folds `values` into [*lo, *hi] in order with std::min and
+// std::max: NaN values are skipped, and of equal values (+0 and -0) the
+// first one seen stays.
+void HistogramMinMax(std::span<const double> values, double* lo, double* hi);
+
+// HistogramBin adds each value to bin (v - lo) / width, truncated toward
+// zero and clamped to [0, bins.size() - 1]. A quotient that is NaN (a blank
+// pixel, or Inf - Inf) or does not fit in int goes to bin 0. `bins` must not
+// be empty; it may be wider than kProgMaxBins.
+void HistogramBin(std::span<const double> values, double lo, double width,
+                  std::span<int64_t> bins);
 
 // wc's whitespace class: ' ', '\t', '\n', '\v', '\f', '\r'. Bytes >= 0x80 are
 // never space, whether or not `char` is signed.

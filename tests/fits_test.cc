@@ -1,14 +1,21 @@
 // Tests for the FITS mini-library and the ff* element-oriented SLEDs layer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <memory>
+#include <random>
+#include <vector>
 
 #include "src/common/rng.h"
 #include "src/device/disk_device.h"
 #include "src/fits/ffsleds.h"
 #include "src/fits/fits.h"
 #include "src/fs/extent_file_system.h"
+#include "src/progs/program.h"
 
 namespace sled {
 namespace {
@@ -73,6 +80,20 @@ TEST(FitsHeaderTest, ParserRejectsMalformed) {
   const size_t spos = notsimple.find("                   T");
   notsimple[spos + 19] = 'F';
   EXPECT_FALSE(FitsParseHeader(notsimple).ok());
+  // Data sizes that overflow int64: the axis product times the element size,
+  // and the padding to the 2880-byte block plus the header.
+  FitsHeader huge;
+  huge.bitpix = -64;
+  huge.naxis = {int64_t{1} << 62, 4};
+  EXPECT_EQ(FitsParseHeader(FitsEncodeHeader(huge)).error(), Err::kInval);
+  huge.naxis = {4, int64_t{1} << 62, 0};
+  EXPECT_EQ(FitsParseHeader(FitsEncodeHeader(huge)).error(), Err::kInval);
+  huge.bitpix = 8;
+  huge.naxis = {std::numeric_limits<int64_t>::max() - 100};
+  EXPECT_EQ(FitsParseHeader(FitsEncodeHeader(huge)).error(), Err::kInval);
+  // Large sizes that do fit still parse.
+  huge.naxis = {std::numeric_limits<int64_t>::max() / 2, 1};
+  EXPECT_TRUE(FitsParseHeader(FitsEncodeHeader(huge)).ok());
 }
 
 TEST(FitsPixelTest, RoundTripAllBitpix) {
@@ -114,6 +135,140 @@ TEST(FitsPixelTest, BigEndianLayout) {
   FitsEncodePixel(1.0, 32, buf);  // 0x00000001 big-endian
   EXPECT_EQ(buf[0], 0);
   EXPECT_EQ(buf[3], 1);
+}
+
+// ---- row codec: FitsDecodeRow / FitsEncodeRow against the per-pixel reference ----
+
+constexpr int kAllBitpix[] = {8, 16, 32, -32, -64};
+
+// Values that stress every conversion: signed zeros, NaNs with payloads,
+// infinities, float and double denormals, float overflow, and for the
+// integer BITPIXes ties that round to even and values that saturate.
+std::vector<double> EdgeValues() {
+  using D = std::numeric_limits<double>;
+  using F = std::numeric_limits<float>;
+  return {0.0, -0.0, D::quiet_NaN(), -D::quiet_NaN(),
+          std::bit_cast<double>(uint64_t{0x7ff0000000000001}),  // signalling NaN
+          std::bit_cast<double>(uint64_t{0xfff8000000000123}), D::infinity(), -D::infinity(),
+          D::denorm_min(), -D::denorm_min(), D::min(), D::max(), -D::max(),
+          static_cast<double>(F::denorm_min()), -static_cast<double>(F::denorm_min()),
+          static_cast<double>(F::min()), static_cast<double>(F::max()), 3.5e38, -3.5e38, 1e-46,
+          0.5, 1.5, 2.5, -0.5, -1.5, -2.5, 127.5, 254.5, 255.5, 256.0, -0.6, -1.0, 32766.5,
+          32767.5, 32768.0, -32768.5, -32769.0, 2147483646.5, 2147483647.5, -2147483648.5,
+          -2147483649.0, 1e9, -1e9, 1e19, -1e19, 0.1, 100.25};
+}
+
+// Doubles with 64-byte alignment, so element offsets 0-7 move the start of
+// the double side across a vector boundary.
+struct alignas(64) AlignedDoubles {
+  double v[8];
+};
+
+TEST(FitsRowCodecTest, DecodeRowMatchesPerPixelReferenceBitForBit) {
+  std::mt19937_64 gen(17);
+  std::vector<size_t> lengths;
+  for (size_t n = 0; n <= 70; ++n) {
+    lengths.push_back(n);
+  }
+  lengths.push_back(64 * 1024);
+  for (const int bitpix : kAllBitpix) {
+    const size_t elem = static_cast<size_t>((bitpix < 0 ? -bitpix : bitpix) / 8);
+    // Random bytes reach every bit pattern; the edge values' encodings are
+    // spliced in at the front so short rows see them too.
+    std::vector<char> bytes((64 * 1024 + 8) * elem);
+    for (char& b : bytes) {
+      b = static_cast<char>(gen());
+    }
+    const std::vector<double> edges = EdgeValues();
+    for (size_t i = 0; i < edges.size(); ++i) {
+      FitsEncodePixel(edges[i], bitpix, bytes.data() + 8 + i * elem);
+    }
+    std::vector<AlignedDoubles> out((64 * 1024 + 24) / 8);
+    for (const size_t n : lengths) {
+      for (size_t in_off = 0; in_off < 8; ++in_off) {
+        for (size_t out_off = 0; out_off < 8; ++out_off) {
+          if (n > 70 && (in_off + out_off) % 7 != 0) {
+            continue;  // the long row runs at a spread of offsets, not all 64
+          }
+          SCOPED_TRACE(testing::Message() << "bitpix " << bitpix << " n " << n << " in_off "
+                                          << in_off << " out_off " << out_off);
+          double* dst = out[0].v + out_off;
+          const double kGuard = 12345.678;
+          std::fill(out[0].v, dst + n + 1, kGuard);
+          const char* src = bytes.data() + in_off;
+          FitsDecodeRow(src, bitpix, std::span<double>(dst, n));
+          for (size_t i = 0; i < n; ++i) {
+            const double want = FitsDecodePixel(src + i * elem, bitpix);
+            ASSERT_EQ(std::memcmp(&dst[i], &want, sizeof(double)), 0) << "element " << i;
+          }
+          EXPECT_EQ(dst[n], kGuard) << "wrote past the row";
+          if (out_off > 0) {
+            EXPECT_EQ(dst[-1], kGuard) << "wrote before the row";
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(FitsRowCodecTest, EncodeRowMatchesPerPixelReferenceByteForByte) {
+  std::mt19937_64 gen(23);
+  std::normal_distribution<double> normal(0.0, 1.0);
+  std::vector<size_t> lengths;
+  for (size_t n = 0; n <= 70; ++n) {
+    lengths.push_back(n);
+  }
+  lengths.push_back(64 * 1024);
+  // Edge values first, then random bit patterns and values spread over each
+  // integer type's range and beyond it.
+  std::vector<AlignedDoubles> values((64 * 1024 + 24) / 8);
+  double* all = values[0].v;
+  const std::vector<double> edges = EdgeValues();
+  std::copy(edges.begin(), edges.end(), all + 8);
+  for (size_t i = 8 + edges.size(); i < values.size() * 8; ++i) {
+    switch (i % 4) {
+      case 0:
+        all[i] = std::bit_cast<double>(gen());
+        break;
+      case 1:
+        all[i] = normal(gen) * 200.0;
+        break;
+      case 2:
+        all[i] = std::round(normal(gen) * 40000.0) + 0.5;  // ties
+        break;
+      default:
+        all[i] = normal(gen) * 3e9;
+        break;
+    }
+  }
+  std::vector<char> out(64 * 1024 * 8 + 32);  // 8 + offset + row + 8
+  std::vector<char> want(out.size());
+  for (const int bitpix : kAllBitpix) {
+    const size_t elem = static_cast<size_t>((bitpix < 0 ? -bitpix : bitpix) / 8);
+    for (const size_t n : lengths) {
+      for (size_t in_off = 0; in_off < 8; ++in_off) {
+        for (size_t out_off = 0; out_off < 8; ++out_off) {
+          if (n > 70 && (in_off + out_off) % 7 != 0) {
+            continue;
+          }
+          SCOPED_TRACE(testing::Message() << "bitpix " << bitpix << " n " << n << " in_off "
+                                          << in_off << " out_off " << out_off);
+          const std::span<const double> row(all + in_off, n);
+          // The row plus eight guard bytes on each side.
+          const size_t span_end = out_off + 8 + n * elem + 8;
+          std::fill(out.begin(), out.begin() + span_end, '\x5a');
+          std::fill(want.begin(), want.begin() + span_end, '\x5a');
+          FitsEncodeRow(row, bitpix, out.data() + 8 + out_off);
+          for (size_t i = 0; i < n; ++i) {
+            FitsEncodePixel(row[i], bitpix, want.data() + 8 + out_off + i * elem);
+          }
+          const auto diff = std::mismatch(out.begin(), out.begin() + span_end, want.begin());
+          ASSERT_EQ(diff.first - out.begin(), static_cast<std::ptrdiff_t>(span_end))
+              << "first differing byte";
+        }
+      }
+    }
+  }
 }
 
 TEST(FitsIoTest, WriteReadImageRoundTrip) {

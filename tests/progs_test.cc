@@ -9,7 +9,14 @@
 //      program path is never slower than the oracle it replaces.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <memory>
+#include <numeric>
+#include <random>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -22,6 +29,7 @@
 #include "src/device/network_device.h"
 #include "src/device/ssd_device.h"
 #include "src/fs/extent_file_system.h"
+#include "src/progs/program.h"
 #include "src/replica/replicated_fs.h"
 #include "src/workload/chain_gen.h"
 #include "src/workload/fits_gen.h"
@@ -79,6 +87,182 @@ std::string ReadWholeFile(SimKernel& k, Process& p, const std::string& path) {
   }
   EXPECT_TRUE(k.Close(p, fd).ok());
   return out;
+}
+
+// ---- the histogram's shared loops against fimhisto's former per-pass loops ----
+
+// fimhisto's pass-2 and pass-3 loops as they were before HistogramMinMax and
+// HistogramBin replaced them (the kHistogram program ran the same two).
+// OracleBin's conversion is defined only when the quotient truncates into
+// int, so it is fed only such values.
+void OracleMinMax(std::span<const double> values, double& lo, double& hi) {
+  for (double v : values) {
+    lo = std::min(lo, v);
+    hi = std::max(hi, v);
+  }
+}
+
+void OracleBin(std::span<const double> values, double lo, double width, int num_bins,
+               std::vector<int64_t>& bins) {
+  for (double v : values) {
+    int bin = static_cast<int>((v - lo) / width);
+    bin = std::clamp(bin, 0, num_bins - 1);
+    ++bins[static_cast<size_t>(bin)];
+  }
+}
+
+bool QuotientFitsInt(double v, double lo, double width) {
+  const double q = (v - lo) / width;
+  return q > -2147483649.0 && q < 2147483648.0;
+}
+
+// Ways to cut a span of n values into consecutive calls, as boundary lists:
+// whole, at every cut point (up to 64 values), one value per call, and eight
+// seeded three-way cuts.
+std::vector<std::vector<size_t>> Splits(size_t n, std::mt19937_64& gen) {
+  std::vector<std::vector<size_t>> splits = {{0, n}};
+  for (size_t cut = 0; cut <= n && n <= 64; ++cut) {
+    splits.push_back({0, cut, n});
+  }
+  std::vector<size_t> singles;
+  for (size_t i = 0; i <= n; ++i) {
+    singles.push_back(i);
+  }
+  splits.push_back(singles);
+  for (int k = 0; k < 8; ++k) {
+    const size_t a = gen() % (n + 1);
+    const size_t b = gen() % (n + 1);
+    splits.push_back({0, std::min(a, b), std::max(a, b), n});
+  }
+  return splits;
+}
+
+bool SameBits(double a, double b) { return std::memcmp(&a, &b, sizeof(double)) == 0; }
+
+TEST(HistogramLoopTest, MinMaxMatchesOracleAtEverySplit) {
+  const double kNan = std::numeric_limits<double>::quiet_NaN();
+  const double kInf = std::numeric_limits<double>::infinity();
+  std::mt19937_64 gen(5);
+  std::normal_distribution<double> normal(0.0, 30.0);
+  std::vector<std::vector<double>> inputs = {
+      {},
+      {kNan},
+      {kNan, 3.0, kNan, -2.0, kNan},
+      {kInf, -kInf, 1.0},
+      {0.0, -0.0},
+      {-0.0, 0.0},
+      {-1.0, 0.0, -0.0},
+      {-1.0, -0.0, 0.0},
+      {1.0, -0.0, 0.0},
+      {1.0, 0.0, -0.0},
+      {0.0, -0.0, 0.0, -0.0},
+  };
+  for (int r = 0; r < 4; ++r) {
+    std::vector<double> values;
+    for (int i = 0; i < 300; ++i) {
+      const uint64_t pick = gen() % 16;
+      values.push_back(pick == 0 ? kNan : pick == 1 ? 0.0 : pick == 2 ? -0.0 : normal(gen));
+    }
+    inputs.push_back(values);
+  }
+  for (size_t c = 0; c < inputs.size(); ++c) {
+    const std::vector<double>& values = inputs[c];
+    double want_lo = kInf;
+    double want_hi = -kInf;
+    OracleMinMax(values, want_lo, want_hi);
+    for (const std::vector<size_t>& cuts : Splits(values.size(), gen)) {
+      double lo = kInf;
+      double hi = -kInf;
+      for (size_t k = 0; k + 1 < cuts.size(); ++k) {
+        HistogramMinMax(std::span<const double>(values).subspan(cuts[k], cuts[k + 1] - cuts[k]),
+                        &lo, &hi);
+      }
+      ASSERT_TRUE(SameBits(lo, want_lo)) << "input " << c << ": " << lo << " vs " << want_lo;
+      ASSERT_TRUE(SameBits(hi, want_hi)) << "input " << c << ": " << hi << " vs " << want_hi;
+    }
+  }
+  // The first of tied zeros stays, at the minimum and at the maximum.
+  auto min_max = [&](std::vector<double> values) {
+    double lo = kInf;
+    double hi = -kInf;
+    HistogramMinMax(values, &lo, &hi);
+    return std::pair{lo, hi};
+  };
+  EXPECT_FALSE(std::signbit(min_max({0.0, -0.0}).first));
+  EXPECT_FALSE(std::signbit(min_max({0.0, -0.0}).second));
+  EXPECT_TRUE(std::signbit(min_max({-0.0, 0.0}).first));
+  EXPECT_TRUE(std::signbit(min_max({-0.0, 0.0}).second));
+  EXPECT_FALSE(std::signbit(min_max({-1.0, 0.0, -0.0}).second));
+  EXPECT_TRUE(std::signbit(min_max({-1.0, -0.0, 0.0}).second));
+  EXPECT_TRUE(std::signbit(min_max({1.0, -0.0, 0.0}).first));
+  EXPECT_FALSE(std::signbit(min_max({1.0, 0.0, -0.0}).first));
+  // NaN is skipped wherever it falls.
+  EXPECT_EQ(min_max({kNan, 2.0, kNan, -3.0, kNan}), (std::pair{-3.0, 2.0}));
+}
+
+TEST(HistogramLoopTest, BinMatchesOracleAtEverySplit) {
+  const double kNan = std::numeric_limits<double>::quiet_NaN();
+  const double kInf = std::numeric_limits<double>::infinity();
+  std::mt19937_64 gen(9);
+  struct Case {
+    double lo;
+    double hi;
+    int num_bins;
+  };
+  // The last case is wider than kProgMaxBins, which the app path allows.
+  for (const Case& hc : {Case{-10.0, 10.0, 8}, Case{0.0, 1.0, 3}, Case{5.0, 5.0, 4},
+                         Case{-1e6, 3e6, kProgMaxBins}, Case{0.0, 100.0, kProgMaxBins * 4}}) {
+    SCOPED_TRACE(testing::Message() << "lo " << hc.lo << " hi " << hc.hi << " bins "
+                                    << hc.num_bins);
+    const double width = hc.hi > hc.lo ? (hc.hi - hc.lo) / hc.num_bins : 1.0;
+    std::vector<double> values;
+    // Every bin edge, values just inside and outside the range, below lo and
+    // above hi by a little and by a lot, then random values across the range.
+    for (int k = 0; k <= hc.num_bins; ++k) {
+      values.push_back(hc.lo + k * width);
+    }
+    for (const double v : {hc.lo - 1.0, std::nextafter(hc.lo, -kInf), std::nextafter(hc.hi, kInf),
+                           hc.hi + 1.0, hc.hi + width * 1e9, hc.lo - width * 1e9, hc.hi * 1e300,
+                           -1e300, kNan, kInf, -kInf, 0.0, -0.0}) {
+      values.push_back(v);
+    }
+    std::uniform_real_distribution<double> in_range(hc.lo - width, hc.hi + width);
+    for (int i = 0; i < 400; ++i) {
+      values.push_back(in_range(gen));
+    }
+    std::shuffle(values.begin(), values.end(), gen);
+    // Oracle: the former loop over the values it is defined for; the rest
+    // go to bin 0.
+    std::vector<int64_t> want(static_cast<size_t>(hc.num_bins), 0);
+    for (const double v : values) {
+      if (QuotientFitsInt(v, hc.lo, width)) {
+        OracleBin(std::span<const double>(&v, 1), hc.lo, width, hc.num_bins, want);
+      } else {
+        ++want[0];
+      }
+    }
+    for (const std::vector<size_t>& cuts : Splits(values.size(), gen)) {
+      // One guard bin on each side must stay zero.
+      std::vector<int64_t> bins(static_cast<size_t>(hc.num_bins) + 2, 0);
+      const std::span<int64_t> inner(bins.data() + 1, static_cast<size_t>(hc.num_bins));
+      for (size_t k = 0; k + 1 < cuts.size(); ++k) {
+        HistogramBin(std::span<const double>(values).subspan(cuts[k], cuts[k + 1] - cuts[k]),
+                     hc.lo, width, inner);
+      }
+      ASSERT_EQ(bins.front(), 0);
+      ASSERT_EQ(bins.back(), 0);
+      ASSERT_EQ(std::vector<int64_t>(inner.begin(), inner.end()), want);
+    }
+  }
+  // The quotients the conversion cannot take all land in bin 0.
+  std::vector<int64_t> bins(4, 0);
+  const std::vector<double> outside = {kNan, kInf, -kInf, 1e300, -1e300, 2147483648.0 + 3.0};
+  HistogramBin(outside, 3.0, 1.0, bins);
+  EXPECT_EQ(bins, (std::vector<int64_t>{6, 0, 0, 0}));
+  // Just inside int's range truncates and clamps as before.
+  bins.assign(4, 0);
+  HistogramBin(std::vector<double>{2147483647.0 + 3.0, -2147483648.0 + 3.0}, 3.0, 1.0, bins);
+  EXPECT_EQ(bins, (std::vector<int64_t>{1, 0, 0, 1}));
 }
 
 // ---- result identity: program == oracle, in both engine modes ----
@@ -201,29 +385,76 @@ TEST_P(ProgsModeTest, ChainHopBudgetCutsBothPathsEqually) {
   EXPECT_EQ(a.blocks_visited, 77);
 }
 
-TEST_P(ProgsModeTest, FimhistoProgramMatchesOracle) {
-  World w = MakeWorld(GetParam());
-  Rng rng(11);
-  ASSERT_TRUE(GenerateFitsImage(*w.kernel, *w.proc, "/img.fits", kMiB, -32, rng).ok());
+// Runs fimhisto on `path` once as the app (passes 2-3 in user space) and once
+// with the kHistogram program, from a cold cache each time, and expects the
+// same histogram, bit-identical min/max, and byte-identical output files.
+void ExpectFimhistoProgramMatchesOracle(World& w, const std::string& path,
+                                        const FimhistoOptions& opts) {
   w.kernel->DropCaches();
-
-  FimhistoOptions opts;
-  opts.num_bins = 32;
   const FimhistoResult oracle =
-      FimhistoApp::Run(*w.kernel, *w.proc, "/img.fits", "/out_oracle", opts).value();
+      FimhistoApp::Run(*w.kernel, *w.proc, path, "/out_oracle", opts).value();
   FimhistoOptions prog = opts;
   prog.kernel_program = true;
   w.kernel->DropCaches();
   const FimhistoResult kernelside =
-      FimhistoApp::Run(*w.kernel, *w.proc, "/img.fits", "/out_prog", prog).value();
+      FimhistoApp::Run(*w.kernel, *w.proc, path, "/out_prog", prog).value();
 
-  EXPECT_EQ(oracle.min_value, kernelside.min_value);
-  EXPECT_EQ(oracle.max_value, kernelside.max_value);
+  EXPECT_EQ(std::memcmp(&oracle.min_value, &kernelside.min_value, sizeof(double)), 0);
+  EXPECT_EQ(std::memcmp(&oracle.max_value, &kernelside.max_value, sizeof(double)), 0);
   EXPECT_EQ(oracle.bins, kernelside.bins);
   // The output files (copy + appended histogram extension) must be
   // byte-identical too.
   EXPECT_EQ(ReadWholeFile(*w.kernel, *w.proc, "/out_oracle"),
             ReadWholeFile(*w.kernel, *w.proc, "/out_prog"));
+}
+
+TEST_P(ProgsModeTest, FimhistoProgramMatchesOracle) {
+  for (const int bitpix : {-32, 16, -64}) {
+    SCOPED_TRACE(testing::Message() << "bitpix " << bitpix);
+    World w = MakeWorld(GetParam());
+    Rng rng(11);
+    ASSERT_TRUE(GenerateFitsImage(*w.kernel, *w.proc, "/img.fits", kMiB, bitpix, rng).ok());
+    FimhistoOptions opts;
+    opts.num_bins = 32;
+    ExpectFimhistoProgramMatchesOracle(w, "/img.fits", opts);
+  }
+}
+
+// NaN marks blank pixels in float images; with infinities the bin quotients
+// come out NaN or infinite too. The app and the program must still agree,
+// and every pixel lands in some bin.
+TEST_P(ProgsModeTest, FimhistoProgramMatchesOracleOnNanAndInfPixels) {
+  const double kNan = std::numeric_limits<double>::quiet_NaN();
+  const double kInf = std::numeric_limits<double>::infinity();
+  const std::vector<std::vector<double>> specials = {
+      {kNan}, {kNan, kInf}, {kNan, -kInf}, {kNan, kInf, -kInf}};
+  for (const int bitpix : {-32, -64}) {
+    for (const std::vector<double>& special : specials) {
+      SCOPED_TRACE(testing::Message() << "bitpix " << bitpix << " specials " << special.size());
+      World w = MakeWorld(GetParam());
+      FitsImage image;
+      image.header.bitpix = bitpix;
+      image.header.naxis = {8, 8};
+      for (int i = 0; i < 64; ++i) {
+        image.pixels.push_back(static_cast<double>(i % 13) - 4.0);
+      }
+      for (size_t i = 0; i < special.size(); ++i) {
+        image.pixels[5 + 23 * i] = special[i];
+      }
+      ASSERT_TRUE(FitsWriteImage(*w.kernel, *w.proc, "/img.fits", image).ok());
+      FimhistoOptions opts;
+      opts.num_bins = 16;
+      opts.buffer_elements = 24;  // several runs and program chunks
+      ExpectFimhistoProgramMatchesOracle(w, "/img.fits", opts);
+      const FimhistoResult r =
+          FimhistoApp::Run(*w.kernel, *w.proc, "/img.fits", "/out", opts).value();
+      EXPECT_EQ(std::accumulate(r.bins.begin(), r.bins.end(), int64_t{0}), 64);
+      if (special.size() == 1) {  // NaN alone is skipped by min/max
+        EXPECT_EQ(r.min_value, -4.0);
+        EXPECT_EQ(r.max_value, 8.0);
+      }
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(EngineModes, ProgsModeTest,
@@ -338,6 +569,18 @@ TEST(ProgsSandboxTest, InstallRejectsInvalidSpecs) {
   many_bins.kind = ProgKind::kHistogram;
   many_bins.num_bins = kProgMaxBins + 1;
   EXPECT_EQ(w.kernel->InstallProgram(*w.proc, fd, many_bins).error(), Err::kInval);
+
+  // A histogram data unit whose end does not fit in int64: first the element
+  // bytes overflow, then the offset added to them.
+  ProgSpec huge_image;
+  huge_image.kind = ProgKind::kHistogram;
+  huge_image.num_bins = 8;
+  huge_image.bitpix = -64;
+  huge_image.element_count = int64_t{1} << 61;
+  EXPECT_EQ(w.kernel->InstallProgram(*w.proc, fd, huge_image).error(), Err::kInval);
+  huge_image.element_count = std::numeric_limits<int64_t>::max() / 8;
+  huge_image.data_offset = 2880;
+  EXPECT_EQ(w.kernel->InstallProgram(*w.proc, fd, huge_image).error(), Err::kInval);
 
   ProgSpec huge_pattern;
   huge_pattern.kind = ProgKind::kFindFirst;
