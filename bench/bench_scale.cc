@@ -1,12 +1,13 @@
 // Million-page scale benchmark for the frame-table page cache (DESIGN.md §9).
 //
-// Pits the frame-table PageCache against a faithful replica of the previous
-// storage layout — std::unordered_map entries, a std::list recency ring, and
-// std::map/std::set per-file residency indexes — on cache-wide workloads at
-// production scale: a 1M-page cache shared by 100k files. Replacement
-// decisions are bit-for-bit identical between the two layouts (asserted on a
-// small differential prefix before timing), so every measured difference is
-// pure storage-layout wall-clock cost.
+// Pits the frame-table PageCache against the reference page cache
+// (tests/reference_page_cache.h), the previous storage layout — std::unordered_map
+// entries, a std::list recency ring, and std::map/std::set per-file residency
+// indexes — on cache-wide workloads at production scale: a 1M-page cache
+// shared by 100k files. Replacement decisions are bit-for-bit identical
+// between the two layouts (asserted on a small differential prefix before
+// timing, and over a million ops by cache_diff_test), so every measured
+// difference is pure storage-layout wall-clock cost.
 //
 // Wall-clock only: the simulated clock plays no part here.
 //
@@ -20,11 +21,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
-#include <list>
-#include <map>
-#include <set>
-#include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -32,6 +28,7 @@
 #include "src/common/log.h"
 #include "src/common/rng.h"
 #include "src/obs/observer.h"
+#include "tests/reference_page_cache.h"
 
 namespace sled {
 namespace {
@@ -42,221 +39,6 @@ template <typename T>
 inline void Sink(const T& value) {
   asm volatile("" : : "r,m"(value) : "memory");
 }
-
-// ---------------------------------------------------------------------------
-// The previous storage layout, reproduced exactly: node-based containers for
-// entries, recency, and the per-file residency index. Only the operations the
-// workloads exercise are carried over; their behavior (victim order, stats)
-// matches the frame table bit for bit.
-class LegacyPageCache {
- public:
-  explicit LegacyPageCache(PageCacheConfig config) : config_(config) {}
-
-  bool Touch(PageKey key) {
-    auto it = entries_.find(key);
-    if (it == entries_.end()) {
-      ++stats_.misses;
-      return false;
-    }
-    ++stats_.hits;
-    if (config_.policy == ReplacementPolicy::kLru) {
-      order_.splice(order_.end(), order_, it->second.lru_it);
-    } else {
-      it->second.referenced = true;
-    }
-    return true;
-  }
-
-  std::optional<EvictedPage> Insert(PageKey key, bool dirty) {
-    auto it = entries_.find(key);
-    if (it != entries_.end()) {
-      it->second.dirty = it->second.dirty || dirty;
-      if (dirty) {
-        index_[key.file].dirty.insert(key.page);
-      }
-      if (config_.policy == ReplacementPolicy::kLru) {
-        order_.splice(order_.end(), order_, it->second.lru_it);
-      } else {
-        it->second.referenced = true;
-      }
-      return std::nullopt;
-    }
-    std::optional<EvictedPage> evicted;
-    if (static_cast<int64_t>(entries_.size()) >= config_.capacity_pages) {
-      evicted = EvictOne();
-    }
-    order_.push_back(key);
-    Entry entry;
-    entry.lru_it = std::prev(order_.end());
-    entry.dirty = dirty;
-    entry.referenced = false;
-    entries_.emplace(key, entry);
-    IndexInsert(key.file, key.page);
-    if (dirty) {
-      index_[key.file].dirty.insert(key.page);
-    }
-    ++stats_.insertions;
-    return evicted;
-  }
-
-  void MarkDirty(PageKey key) {
-    auto it = entries_.find(key);
-    SLED_CHECK(it != entries_.end(), "MarkDirty on non-resident page");
-    it->second.dirty = true;
-    index_[key.file].dirty.insert(key.page);
-  }
-
-  void MarkClean(PageKey key) {
-    auto it = entries_.find(key);
-    SLED_CHECK(it != entries_.end(), "MarkClean on non-resident page");
-    it->second.dirty = false;
-    index_[key.file].dirty.erase(key.page);
-  }
-
-  std::vector<PageKey> DirtyPagesOf(FileId file) const {
-    std::vector<PageKey> dirty;
-    auto fit = index_.find(file);
-    if (fit == index_.end()) {
-      return dirty;
-    }
-    dirty.reserve(fit->second.dirty.size());
-    for (int64_t page : fit->second.dirty) {
-      dirty.push_back({file, page});
-    }
-    return dirty;
-  }
-
-  std::optional<PageRun> NextResidentRun(FileId file, int64_t from) const {
-    auto fit = index_.find(file);
-    if (fit == index_.end()) {
-      return std::nullopt;
-    }
-    const auto& runs = fit->second.runs;
-    auto it = runs.upper_bound(from);
-    if (it != runs.begin()) {
-      auto prev = std::prev(it);
-      if (prev->first + prev->second > from) {
-        return PageRun{prev->first, prev->second};
-      }
-    }
-    if (it == runs.end()) {
-      return std::nullopt;
-    }
-    return PageRun{it->first, it->second};
-  }
-
-  int64_t NextMissAfter(FileId file, int64_t page) const {
-    auto fit = index_.find(file);
-    if (fit == index_.end()) {
-      return page;
-    }
-    const auto& runs = fit->second.runs;
-    auto it = runs.upper_bound(page);
-    if (it == runs.begin()) {
-      return page;
-    }
-    --it;
-    if (page >= it->first + it->second) {
-      return page;
-    }
-    return it->first + it->second;
-  }
-
-  const PageCacheStats& stats() const { return stats_; }
-  int64_t size_pages() const { return static_cast<int64_t>(entries_.size()); }
-
- private:
-  struct Entry {
-    std::list<PageKey>::iterator lru_it;
-    bool dirty = false;
-    bool referenced = false;
-  };
-  struct FileIndex {
-    std::map<int64_t, int64_t> runs;  // first page -> run length
-    std::set<int64_t> dirty;
-  };
-
-  EvictedPage EvictOne() {
-    for (int sweep = 0; sweep < 3; ++sweep) {
-      auto it = order_.begin();
-      while (it != order_.end()) {
-        auto entry_it = entries_.find(*it);
-        if (config_.policy == ReplacementPolicy::kClock && entry_it->second.referenced) {
-          entry_it->second.referenced = false;
-          auto next = std::next(it);
-          order_.splice(order_.end(), order_, it);
-          entry_it->second.lru_it = std::prev(order_.end());
-          it = next;
-          continue;
-        }
-        const PageKey victim = *it;
-        EvictedPage evicted{victim, entry_it->second.dirty};
-        order_.erase(it);
-        entries_.erase(entry_it);
-        IndexRemove(victim.file, victim.page);
-        ++stats_.evictions;
-        if (evicted.dirty) {
-          ++stats_.dirty_evictions;
-        }
-        return evicted;
-      }
-    }
-    SLED_CHECK(false, "no evictable page");
-    return {};
-  }
-
-  void IndexInsert(FileId file, int64_t page) {
-    FileIndex& fi = index_[file];
-    auto next = fi.runs.lower_bound(page);
-    bool merge_left = false;
-    auto prev = fi.runs.end();
-    if (next != fi.runs.begin()) {
-      prev = std::prev(next);
-      merge_left = prev->first + prev->second == page;
-    }
-    const bool merge_right = next != fi.runs.end() && next->first == page + 1;
-    if (merge_left && merge_right) {
-      prev->second += 1 + next->second;
-      fi.runs.erase(next);
-    } else if (merge_left) {
-      prev->second += 1;
-    } else if (merge_right) {
-      const int64_t count = next->second + 1;
-      fi.runs.erase(next);
-      fi.runs.emplace(page, count);
-    } else {
-      fi.runs.emplace(page, 1);
-    }
-  }
-
-  void IndexRemove(FileId file, int64_t page) {
-    auto fit = index_.find(file);
-    FileIndex& fi = fit->second;
-    auto it = fi.runs.upper_bound(page);
-    --it;
-    const int64_t first = it->first;
-    const int64_t count = it->second;
-    fi.runs.erase(it);
-    if (page > first) {
-      fi.runs.emplace(first, page - first);
-    }
-    if (page + 1 < first + count) {
-      fi.runs.emplace(page + 1, first + count - page - 1);
-    }
-    fi.dirty.erase(page);
-    if (fi.runs.empty()) {
-      index_.erase(fit);
-    }
-  }
-
-  PageCacheConfig config_;
-  std::unordered_map<PageKey, Entry, PageKeyHash> entries_;
-  std::unordered_map<FileId, FileIndex> index_;
-  std::list<PageKey> order_;
-  PageCacheStats stats_;
-};
-
-// ---------------------------------------------------------------------------
 
 struct ScaleConfig {
   int64_t capacity_pages = 1 << 20;  // 1M pages = 4 GiB of 4 KiB pages
@@ -283,7 +65,7 @@ struct ScaleConfig {
 };
 
 struct MicroResult {
-  double naive_us = 0;    // legacy node-based layout
+  double naive_us = 0;    // reference node-based layout
   double indexed_us = 0;  // frame table
   double speedup() const { return indexed_us > 0 ? naive_us / indexed_us : 0; }
 };
@@ -413,36 +195,36 @@ struct Workloads {
 void AssertIdenticalBehavior() {
   const PageCacheConfig cfg{.capacity_pages = 1024, .policy = ReplacementPolicy::kLru};
   PageCache frame(cfg);
-  LegacyPageCache legacy(cfg);
+  ReferencePageCache ref(cfg);
   Rng rng(42);
   for (int64_t i = 0; i < 200000; ++i) {
     const FileId f = static_cast<FileId>(rng.Uniform(1, 64));
     const int64_t page = rng.Uniform(0, 255);
     switch (rng.Uniform(0, 3)) {
       case 0: {
-        SLED_CHECK(frame.Touch({f, page}) == legacy.Touch({f, page}), "Touch mismatch");
+        SLED_CHECK(frame.Touch({f, page}) == ref.Touch({f, page}), "Touch mismatch");
         break;
       }
       case 1:
       case 2: {
         const bool dirty = rng.Uniform(0, 1) == 1;
         auto a = frame.Insert({f, page}, dirty);
-        auto b = legacy.Insert({f, page}, dirty);
+        auto b = ref.Insert({f, page}, dirty);
         SLED_CHECK(a == b, "eviction mismatch at op %lld", static_cast<long long>(i));
         break;
       }
       case 3: {
         const auto a = frame.NextResidentRun(f, page);
-        const auto b = legacy.NextResidentRun(f, page);
+        const auto b = ref.NextResidentRun(f, page);
         SLED_CHECK(a == b, "run query mismatch");
         break;
       }
     }
   }
   const PageCacheStats& fs = frame.stats();
-  const PageCacheStats& ls = legacy.stats();
-  SLED_CHECK(fs.hits == ls.hits && fs.misses == ls.misses && fs.insertions == ls.insertions &&
-                 fs.evictions == ls.evictions && fs.dirty_evictions == ls.dirty_evictions,
+  const PageCacheStats& rs = ref.stats();
+  SLED_CHECK(fs.hits == rs.hits && fs.misses == rs.misses && fs.insertions == rs.insertions &&
+                 fs.evictions == rs.evictions && fs.dirty_evictions == rs.dirty_evictions,
              "stats diverged");
   SLED_CHECK(frame.ValidateIndex(), "frame-table index invalid");
 }
@@ -463,25 +245,25 @@ void RunScaleSuite() {
   // the timed sections do not change residency (writeback restores
   // cleanliness), so repeats see identical state.
   PageCache frame(cache_cfg);
-  LegacyPageCache legacy(cache_cfg);
+  ReferencePageCache ref(cache_cfg);
   FillStriped(frame, cfg);
-  FillStriped(legacy, cfg);
-  SLED_CHECK(frame.size_pages() == legacy.size_pages(), "fill mismatch");
+  FillStriped(ref, cfg);
+  SLED_CHECK(frame.size_pages() == ref.size_pages(), "fill mismatch");
   std::fprintf(stderr, "  filled %lld pages per layout\n",
                static_cast<long long>(frame.size_pages()));
 
   MicroResult touch;
-  touch.naive_us = BestWallMicros(cfg.repeats, [&] { Sink(w.TouchHits(legacy)); });
+  touch.naive_us = BestWallMicros(cfg.repeats, [&] { Sink(w.TouchHits(ref)); });
   touch.indexed_us = BestWallMicros(cfg.repeats, [&] { Sink(w.TouchHits(frame)); });
   std::fprintf(stderr, "  touch_hit done (%.2fx)\n", touch.speedup());
 
   MicroResult query;
-  query.naive_us = BestWallMicros(cfg.repeats, [&] { Sink(w.RunQueries(legacy)); });
+  query.naive_us = BestWallMicros(cfg.repeats, [&] { Sink(w.RunQueries(ref)); });
   query.indexed_us = BestWallMicros(cfg.repeats, [&] { Sink(w.RunQueries(frame)); });
   std::fprintf(stderr, "  run_query done (%.2fx)\n", query.speedup());
 
   MicroResult wb;
-  wb.naive_us = BestWallMicros(cfg.repeats, [&] { Sink(w.DirtyWriteback(legacy)); });
+  wb.naive_us = BestWallMicros(cfg.repeats, [&] { Sink(w.DirtyWriteback(ref)); });
   wb.indexed_us = BestWallMicros(cfg.repeats, [&] { Sink(w.DirtyWriteback(frame)); });
   std::fprintf(stderr, "  dirty_writeback done (%.2fx)\n", wb.speedup());
 
@@ -492,10 +274,10 @@ void RunScaleSuite() {
     double best_naive = std::numeric_limits<double>::infinity();
     double best_frame = std::numeric_limits<double>::infinity();
     for (int i = 0; i < cfg.repeats; ++i) {
-      LegacyPageCache lc(cache_cfg);
-      FillStriped(lc, cfg);
+      ReferencePageCache rc(cache_cfg);
+      FillStriped(rc, cfg);
       auto t0 = std::chrono::steady_clock::now();
-      Sink(w.InsertEvict(lc));
+      Sink(w.InsertEvict(rc));
       auto t1 = std::chrono::steady_clock::now();
       best_naive =
           std::min(best_naive, std::chrono::duration<double, std::micro>(t1 - t0).count());

@@ -44,10 +44,12 @@ echo "==== figure goldens: wc / grep / fimhisto / fimgbin / CD-ROM faults figure
 # figures unchanged. wc and grep also run under the elevator I/O engine, which
 # gates its read path, its readahead tail and Write's read-modify-write
 # through the engine. The build metadata line (compiler, flags, git sha,
-# host) is dropped before comparing. fig09 runs at 24 and 48 MB, and fimhisto
-# and fimgbin again at 8 and 48 MB (`*.48.txt`), one size on each side of the
-# 40 MiB cache: above it, pick order matters, so these pin the fault reduction
-# and the speedup SLEDs buy, and the FITS apps' SLEDs runs that start mid-row.
+# host) is dropped before comparing. fig09 runs at 24 and 48 MB; wc, fimhisto
+# and fimgbin again at 8 and 48 MB (`*.48.txt`); grep -q at 8 and 64 MB
+# (`*.64.txt`; at 48 MB it gains only 1.06x). One size sits on each side of
+# the 40 MiB cache: above it, pick order matters, so these pin the fault
+# reduction and the speedup SLEDs buy, and the FITS apps' SLEDs runs that
+# start mid-row.
 # Refresh after an intentional model change with:
 #   for b in fig07_08_wc_nfs fig11_12_grep_first_ext2 fig14_fimhisto fig15_fimgbin; do
 #     SLEDS_BENCH_MAX_MB=8 ./build/bench/bench_$b 2>/dev/null |
@@ -57,9 +59,11 @@ echo "==== figure goldens: wc / grep / fimhisto / fimgbin / CD-ROM faults figure
 #       sed '/^  "build": /d' > bench/golden/bench_$b.elevator.txt; done
 #   SLEDS_BENCH_MAX_MB=48 SLEDS_BENCH_STEP_MB=24 ./build/bench/bench_fig09_wc_cdrom_faults \
 #     2>/dev/null | sed '/^  "build": /d' > bench/golden/bench_fig09_wc_cdrom_faults.txt
-#   for b in fig14_fimhisto fig15_fimgbin; do
+#   for b in fig07_08_wc_nfs fig14_fimhisto fig15_fimgbin; do
 #     SLEDS_BENCH_MAX_MB=48 SLEDS_BENCH_STEP_MB=40 ./build/bench/bench_$b 2>/dev/null |
 #       sed '/^  "build": /d' > bench/golden/bench_$b.48.txt; done
+#   SLEDS_BENCH_MAX_MB=64 SLEDS_BENCH_STEP_MB=56 ./build/bench/bench_fig11_12_grep_first_ext2 \
+#     2>/dev/null | sed '/^  "build": /d' > bench/golden/bench_fig11_12_grep_first_ext2.64.txt
 #   ./build/bench/bench_ext_estimate_accuracy 2>/dev/null |
 #     sed '/^  "build": /d' > bench/golden/bench_ext_estimate_accuracy.txt
 for b in fig07_08_wc_nfs fig11_12_grep_first_ext2 fig14_fimhisto fig15_fimgbin; do
@@ -72,10 +76,12 @@ for b in fig07_08_wc_nfs fig11_12_grep_first_ext2; do
 done
 SLEDS_BENCH_MAX_MB=48 SLEDS_BENCH_STEP_MB=24 ./build/bench/bench_fig09_wc_cdrom_faults 2>/dev/null |
   sed '/^  "build": /d' | diff -u bench/golden/bench_fig09_wc_cdrom_faults.txt -
-for b in fig14_fimhisto fig15_fimgbin; do
+for b in fig07_08_wc_nfs fig14_fimhisto fig15_fimgbin; do
   SLEDS_BENCH_MAX_MB=48 SLEDS_BENCH_STEP_MB=40 "./build/bench/bench_${b}" 2>/dev/null |
     sed '/^  "build": /d' | diff -u "bench/golden/bench_${b}.48.txt" -
 done
+SLEDS_BENCH_MAX_MB=64 SLEDS_BENCH_STEP_MB=56 ./build/bench/bench_fig11_12_grep_first_ext2 2>/dev/null |
+  sed '/^  "build": /d' | diff -u bench/golden/bench_fig11_12_grep_first_ext2.64.txt -
 
 echo "==== fault bench: graceful degradation sweep ===="
 # Fails the gate on crash or hang; BENCH_fault.json shows bounded retries and

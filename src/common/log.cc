@@ -1,59 +1,18 @@
 #include "src/common/log.h"
 
-#include <atomic>
+#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 
 namespace sled {
-namespace {
-
-std::atomic<LogLevel> g_level{LogLevel::kWarn};
-
-const char* LevelName(LogLevel level) {
-  switch (level) {
-    case LogLevel::kDebug:
-      return "DEBUG";
-    case LogLevel::kInfo:
-      return "INFO";
-    case LogLevel::kWarn:
-      return "WARN";
-    case LogLevel::kError:
-      return "ERROR";
-    case LogLevel::kFatal:
-      return "FATAL";
-  }
-  return "?";
-}
-
-void VLogF(LogLevel level, const char* file, int line, const char* fmt, va_list args) {
-  std::fprintf(stderr, "[%s %s:%d] ", LevelName(level), file, line);
-  std::vfprintf(stderr, fmt, args);
-  std::fputc('\n', stderr);
-}
-
-}  // namespace
-
-void SetLogLevel(LogLevel level) { g_level.store(level); }
-LogLevel GetLogLevel() { return g_level.load(); }
-
-void LogF(LogLevel level, const char* file, int line, const char* fmt, ...) {
-  if (level < g_level.load() && level != LogLevel::kFatal) {
-    return;
-  }
-  va_list args;
-  va_start(args, fmt);
-  VLogF(level, file, line, fmt, args);
-  va_end(args);
-  if (level == LogLevel::kFatal) {
-    std::abort();
-  }
-}
 
 void FatalF(const char* file, int line, const char* fmt, ...) {
+  std::fprintf(stderr, "[FATAL %s:%d] ", file, line);
   va_list args;
   va_start(args, fmt);
-  VLogF(LogLevel::kFatal, file, line, fmt, args);
+  std::vfprintf(stderr, fmt, args);
   va_end(args);
+  std::fputc('\n', stderr);
   std::abort();
 }
 

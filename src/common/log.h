@@ -1,31 +1,13 @@
-// Minimal leveled logging and fatal checks.
+// Fatal invariant checks.
 #ifndef SLEDS_SRC_COMMON_LOG_H_
 #define SLEDS_SRC_COMMON_LOG_H_
 
-#include <cstdarg>
-
 namespace sled {
 
-enum class LogLevel { kDebug = 0, kInfo, kWarn, kError, kFatal };
-
-// Global minimum level; messages below it are dropped. Defaults to kWarn so
-// benchmarks and tests stay quiet unless something is wrong.
-void SetLogLevel(LogLevel level);
-LogLevel GetLogLevel();
-
-// printf-style log emission. kFatal aborts after printing.
-[[gnu::format(printf, 4, 5)]] void LogF(LogLevel level, const char* file, int line,
-                                        const char* fmt, ...);
-
+// printf-style message to stderr, then abort.
 [[noreturn]] void FatalF(const char* file, int line, const char* fmt, ...);
 
 }  // namespace sled
-
-#define SLED_LOG(level, ...) ::sled::LogF((level), __FILE__, __LINE__, __VA_ARGS__)
-#define SLED_DEBUG(...) SLED_LOG(::sled::LogLevel::kDebug, __VA_ARGS__)
-#define SLED_INFO(...) SLED_LOG(::sled::LogLevel::kInfo, __VA_ARGS__)
-#define SLED_WARN(...) SLED_LOG(::sled::LogLevel::kWarn, __VA_ARGS__)
-#define SLED_ERROR(...) SLED_LOG(::sled::LogLevel::kError, __VA_ARGS__)
 
 // Invariant check: aborts with a message when `cond` is false. Used for
 // programmer errors (API misuse, broken internal invariants), never for

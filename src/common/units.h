@@ -3,6 +3,7 @@
 #define SLEDS_SRC_COMMON_UNITS_H_
 
 #include <cstdint>
+#include <limits>
 
 namespace sled {
 
@@ -14,6 +15,11 @@ inline constexpr int64_t kGiB = 1024 * kMiB;
 // pages; all SLED offsets and lengths produced by the kernel are initially
 // page-aligned (the library may later pull them in to record boundaries).
 inline constexpr int64_t kPageSize = 4 * kKiB;
+
+// The largest page-aligned int64: the bound on every file offset, file size
+// and byte-range end, so PagesFor and PageCeil of any of them cannot overflow.
+inline constexpr int64_t kMaxFileBytes =
+    std::numeric_limits<int64_t>::max() / kPageSize * kPageSize;
 
 constexpr int64_t KiB(int64_t n) { return n * kKiB; }
 constexpr int64_t MiB(int64_t n) { return n * kMiB; }

@@ -66,8 +66,6 @@ class SsdDevice final : public StorageDevice {
 
   // (gc + host) programs per host program; 1.0 until GC has ever run.
   double write_amplification() const;
-  // GC work accrued but not yet charged to a foreground op.
-  Duration gc_debt() const { return gc_debt_; }
   int64_t gc_cycles() const { return gc_cycles_; }
   double free_fraction() const {
     return static_cast<double>(free_pages_) / static_cast<double>(physical_pages_);

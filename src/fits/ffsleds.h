@@ -33,11 +33,6 @@ class FfPicker {
   // Header/padding bytes the byte-level picker offers are skipped.
   Result<ElementPick> NextRead();
 
-  // Byte range of an element run (for the app's lseek/read).
-  int64_t ByteOffsetOf(int64_t element_index) const {
-    return header_.data_offset + element_index * header_.element_size();
-  }
-
  private:
   FfPicker(std::unique_ptr<SledsPicker> picker, FitsHeader header)
       : picker_(std::move(picker)), header_(header) {}

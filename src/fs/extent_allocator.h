@@ -62,7 +62,6 @@ class ExtentAllocator {
   int64_t ExtentCountOf(InodeNum ino) const;
 
   StorageDevice* device() const { return device_; }
-  int64_t allocated_bytes() const { return next_free_ - config_.base_offset; }
 
  private:
   // Allocated (page-aligned) bytes currently backing `ino`.

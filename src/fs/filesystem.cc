@@ -160,11 +160,12 @@ Result<int64_t> FileSystem::WriteBytes(InodeNum ino, int64_t offset,
   if (node->is_dir) {
     return Err::kIsDir;
   }
-  if (offset < 0) {
-    return Err::kInval;
+  int64_t end = 0;
+  if (offset < 0 || __builtin_add_overflow(offset, static_cast<int64_t>(src.size()), &end) ||
+      end > kMaxFileBytes) {
+    return Err::kInval;  // rejected before any byte is copied or the size changes
   }
   const int64_t old_size = static_cast<int64_t>(node->data.size());
-  const int64_t end = offset + static_cast<int64_t>(src.size());
   if (end > old_size) {
     SLED_RETURN_IF_ERROR(OnResize(ino, old_size, end));
     node->data.resize(static_cast<size_t>(end), '\0');
@@ -180,7 +181,7 @@ Result<void> FileSystem::Truncate(InodeNum ino, int64_t new_size) {
   if (node->is_dir) {
     return Err::kIsDir;
   }
-  if (new_size < 0) {
+  if (new_size < 0 || new_size > kMaxFileBytes) {
     return Err::kInval;
   }
   const int64_t old_size = static_cast<int64_t>(node->data.size());

@@ -75,7 +75,6 @@ class FileSystem {
   Result<void> Unlink(InodeNum dir, std::string_view child);
   Result<std::vector<DirEntry>> List(InodeNum dir) const;
   Result<InodeAttr> GetAttr(InodeNum ino) const;
-  bool Exists(InodeNum ino) const { return inodes_.contains(ino); }
 
   // ---- content plane (real bytes, no cost model) ----
   // Copy out up to dst.size() bytes at `offset`; returns bytes copied (0 at

@@ -146,10 +146,4 @@ std::vector<IoRequest> DeviceQueue::CancelMatching(
   return out;
 }
 
-void DeviceQueue::ForEachPending(const std::function<void(const IoRequest&)>& fn) const {
-  for (const IoRequest& r : pending_) {
-    fn(r);
-  }
-}
-
 }  // namespace sled

@@ -83,7 +83,6 @@ class DeviceQueue {
   int64_t PendingPages(IoOp op) const {
     return pending_pages_[static_cast<size_t>(op)];
   }
-  void ForEachPending(const std::function<void(const IoRequest&)>& fn) const;
 
  private:
   // Index into pending_ of the primary candidate at decision time `at`.

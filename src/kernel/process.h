@@ -80,7 +80,6 @@ class Process {
     return it == fds_.end() ? nullptr : &it->second;
   }
   bool RemoveFd(int fd) { return fds_.erase(fd) > 0; }
-  size_t open_fd_count() const { return fds_.size(); }
 
  private:
   int pid_;

@@ -24,6 +24,14 @@ InodeNum InoOfFid(FileId fid) { return static_cast<InodeNum>(fid & kInoMask); }
 // like an NFS hard-mount interruption. Everything else passes through.
 Err ToSyscallErr(Err e) { return e == Err::kUnavailable ? Err::kTimedOut : e; }
 
+// A byte range [offset, offset + length) the ranged ioctls accept: both ends
+// non-negative and the end within kMaxFileBytes, checked without overflow.
+bool RangeInBounds(int64_t offset, int64_t length) {
+  int64_t end = 0;
+  return offset >= 0 && length >= 0 && !__builtin_add_overflow(offset, length, &end) &&
+         end <= kMaxFileBytes;
+}
+
 IoMode ResolveIoMode(IoMode mode) {
   if (mode != IoMode::kFromEnv) {
     return mode;
@@ -205,6 +213,21 @@ void SimKernel::ChargeCpu(Process& p, Duration d) {
 void SimKernel::ChargeIo(Process& p, Duration d) {
   p.stats().io_time += d;
   clock_.Advance(d);
+}
+
+void SimKernel::ChargeBackground(Duration d) {
+  stats_.background_io_time += d;
+  clock_.Advance(d);
+}
+
+void SimKernel::WaitUntil(Process& p, FileId file, TimePoint ready) {
+  const TimePoint now = clock_.Now();
+  if (now < ready) {
+    const Duration wait = ready - now;
+    ChargeIo(p, wait);
+    ++p.stats().io_waits;
+    obs_.IoWait(p.pid(), file, wait);
+  }
 }
 
 Result<OpenFile*> SimKernel::FdOf(Process& p, int fd) {
@@ -411,13 +434,7 @@ void SimKernel::AwaitPage(Process& p, PageKey key) {
       return;  // request failed at the device; caller sees the missing page
     }
   }
-  if (now < it->second.ready_at) {
-    const Duration wait = it->second.ready_at - now;
-    clock_.Advance(wait);
-    p.stats().io_time += wait;
-    ++p.stats().io_waits;
-    obs_.IoWait(p.pid(), key.file, wait);
-  }
+  WaitUntil(p, key.file, it->second.ready_at);
   HarvestArrivals();
 }
 
@@ -757,8 +774,8 @@ Result<int64_t> SimKernel::Lseek(Process& p, int fd, int64_t offset, Whence when
       base = fs->SizeOf(of->ino);
       break;
   }
-  const int64_t target = base + offset;
-  if (target < 0) {
+  int64_t target = 0;
+  if (__builtin_add_overflow(base, offset, &target) || target < 0 || target > kMaxFileBytes) {
     return Err::kInval;
   }
   of->offset = target;
@@ -850,13 +867,7 @@ Result<void> SimKernel::Fsync(Process& p, int fd) {
     for (const auto& [id, wd] : done) {
       latest = std::max(latest, wd.done);
     }
-    if (now < latest) {
-      const Duration wait = latest - now;
-      clock_.Advance(wait);
-      p.stats().io_time += wait;
-      ++p.stats().io_waits;
-      obs_.IoWait(p.pid(), of->fid, wait);
-    }
+    WaitUntil(p, of->fid, latest);
     HarvestArrivals();
     // Failure handling, after the sink is disarmed. Fsync's own failed runs
     // re-dirty their (still resident) pages and the caller gets the error —
@@ -1040,12 +1051,13 @@ Result<Duration> SimKernel::FlushWriteback(Process* p, bool force) {
     i = j;
   }
   writeback_queue_ = std::move(waiting);
-  clock_.Advance(total);
   // A synchronous flush happens on behalf of whichever process pushed the
   // queue over the batch threshold; its device time belongs on that process's
   // I/O account (background flushes pass p == nullptr).
   if (p != nullptr) {
-    p->stats().io_time += total;
+    ChargeIo(*p, total);
+  } else {
+    ChargeBackground(total);
   }
   obs_.WritebackFlush(p != nullptr ? p->pid() : 0, pages_flushed, runs_flushed, total);
   return total;
@@ -1168,7 +1180,7 @@ Result<SledVector> SimKernel::IoctlSledsGet(Process& p, int fd, int64_t offset, 
                                             RankBy route_rank) {
   SyscallScope sys(*this, p, "ioctl_sleds_get");
   SLED_ASSIGN_OR_RETURN(OpenFile * of, FdOf(p, fd));
-  if (offset < 0 || length < 0) {
+  if (!RangeInBounds(offset, length)) {
     return Err::kInval;
   }
   FileSystem* fs = FsOf(*of);
@@ -1183,7 +1195,7 @@ Result<SledVector> SimKernel::IoctlSledsGet(Process& p, int fd, int64_t offset, 
 Result<int64_t> SimKernel::IoctlSledsLock(Process& p, int fd, int64_t offset, int64_t length) {
   SyscallScope sys(*this, p, "ioctl_sleds_lock");
   SLED_ASSIGN_OR_RETURN(OpenFile * of, FdOf(p, fd));
-  if (offset < 0 || length <= 0) {
+  if (length <= 0 || !RangeInBounds(offset, length)) {
     return Err::kInval;
   }
   FileSystem* fs = FsOf(*of);
@@ -1221,7 +1233,7 @@ Result<int64_t> SimKernel::IoctlSledsLock(Process& p, int fd, int64_t offset, in
 Result<int64_t> SimKernel::IoctlSledsUnlock(Process& p, int fd, int64_t offset, int64_t length) {
   SyscallScope sys(*this, p, "ioctl_sleds_unlock");
   SLED_ASSIGN_OR_RETURN(OpenFile * of, FdOf(p, fd));
-  if (offset < 0 || length == 0) {
+  if (offset < 0 || length == 0 || (length > 0 && !RangeInBounds(offset, length))) {
     return Err::kInval;
   }
   const int64_t first = length < 0 ? 0 : offset / kPageSize;
@@ -1271,7 +1283,7 @@ Duration SimKernel::FlushAllDirty() {
     const TimePoint now = clock_.Now();
     const TimePoint latest = scheduler_.Drain(now);
     const Duration waited = now < latest ? latest - now : Duration();
-    clock_.Advance(waited);
+    ChargeBackground(waited);
     HarvestArrivals();
     return waited;
   }
@@ -1297,13 +1309,13 @@ Duration SimKernel::FlushAllDirty() {
     }
     cache_.MarkClean(key);
   }
-  clock_.Advance(total);
+  ChargeBackground(total);
   // Forced drain of the queue: retried entries go back in with a higher
   // attempt count, so max_writeback_attempts passes bound the loop — anything
   // still failing by then has been counted lost and dropped.
   for (int pass = 0; pass < config_.fault.max_writeback_attempts && !writeback_queue_.empty();
        ++pass) {
-    auto queued = FlushWriteback(nullptr, /*force=*/true);  // advances the clock itself
+    auto queued = FlushWriteback(nullptr, /*force=*/true);  // charges the background itself
     if (queued.ok()) {
       total += queued.value();
     }
@@ -1323,7 +1335,7 @@ Duration SimKernel::RunMaintenance() {
       total += t.value();
     }
   }
-  clock_.Advance(total);
+  ChargeBackground(total);
   return total;
 }
 

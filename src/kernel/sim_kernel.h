@@ -113,6 +113,10 @@ struct KernelStats {
   int64_t io_retries = 0;       // immediate re-issues of failed transfers
   int64_t writeback_retries = 0;  // writeback runs re-queued after a failure
   int64_t writeback_lost = 0;     // dirty pages dropped past the attempt cap
+  // Device time the clock spent on no process's behalf (background flushes,
+  // FlushAllDirty, RunMaintenance): the clock's advance is every process's
+  // elapsed() plus this.
+  Duration background_io_time;
 };
 
 class SimKernel {
@@ -242,8 +246,14 @@ class SimKernel {
   class SyscallScope;
 
   Result<OpenFile*> FdOf(Process& p, int fd);
+  // The only places the clock advances: a process's CPU or I/O account, or
+  // the background ledger (KernelStats::background_io_time).
   void ChargeCpu(Process& p, Duration d);
   void ChargeIo(Process& p, Duration d);
+  void ChargeBackground(Duration d);
+  // Block `p` until `ready` (a device completion on `file`), charging the
+  // wait to its I/O account and counting it as an I/O wait.
+  void WaitUntil(Process& p, FileId file, TimePoint ready);
 
   // The one demand-paging loop, shared by Read, MmapRead and RunProgram so
   // every access path pays exactly what the page scan advertised. For each

@@ -57,13 +57,6 @@ DeviceHealth ReplicatedFs::LevelHealth(int local_level) const {
   return devices_[static_cast<size_t>(local_level)]->Health();
 }
 
-bool ReplicatedFs::Placed(int replica, int64_t stripe) const {
-  const int n = num_replicas();
-  // Stripe s lives on replicas {(s + k) % n : k < R}.
-  const int delta = static_cast<int>((replica - stripe % n + n) % n);
-  return delta < replication_factor_;
-}
-
 bool ReplicatedFs::IsStale(int replica, InodeNum ino, int64_t stripe) const {
   const auto& by_ino = stale_[static_cast<size_t>(replica)];
   const auto it = by_ino.find(ino);

@@ -56,8 +56,7 @@ struct ReplicatedFsConfig {
   int replication_min = 1;
   // Hedge reads: when the chosen replica's service time exceeds its
   // p99-derived deadline, issue the read to the second-ranked replica too
-  // and pay min(straggler, deadline + hedge). $SLEDS_HEDGE_P99=1 turns this
-  // on for the shell and benches.
+  // and pay min(straggler, deadline + hedge).
   bool hedge_reads = false;
   // Deadline = hedge_deadline_factor * (health-adjusted p99 first-byte
   // latency) + transfer time at the health-adjusted bandwidth.
@@ -126,7 +125,6 @@ class ReplicatedFs final : public FileSystem {
   };
 
   int64_t StripeOf(int64_t page) const { return page / config_.stripe_pages; }
-  bool Placed(int replica, int64_t stripe) const;
   bool IsStale(int replica, InodeNum ino, int64_t stripe) const;
   void MarkStale(int replica, InodeNum ino, int64_t stripe);
   // Health-adjusted ranking statistic of one replica's nominal

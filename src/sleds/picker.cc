@@ -115,7 +115,7 @@ Result<void> SledsPicker::BuildPlan() {
     SLED_RETURN_IF_ERROR(AdjustToRecordBoundaries(sleds));
   }
   if (options_.element_size > 0) {
-    AdjustToElementBoundaries(sleds);
+    SLED_RETURN_IF_ERROR(AdjustToElementBoundaries(sleds));
   }
   PruneUnavailable(sleds);
   SortByPickOrder(sleds, options_.rank_by);
@@ -169,83 +169,28 @@ Result<int64_t> SledsPicker::ScanBackward(int64_t from, int64_t limit) {
   return static_cast<int64_t>(-1);
 }
 
-Result<void> SledsPicker::AdjustToRecordBoundaries(SledVector& sleds) {
+namespace {
+
+// The edge-adjustment skeleton both modes share. Each boundary between two
+// SLEDs that rank differently is handed to `move_edge(i, b, cheap_right)`
+// (b separates sleds[i] and sleds[i+1]; cheap_right says the right side is the
+// low-latency one), which returns where the boundary goes. The boundaries are
+// then kept monotone — a tiny low-latency SLED can collapse to nothing — and
+// the vector is rebuilt, clamped to the file end.
+template <typename MoveEdge>
+Result<void> AdjustEdges(SledVector& sleds, RankBy rank_by, MoveEdge&& move_edge) {
   if (sleds.size() < 2) {
     return Result<void>::Ok();
   }
-  // Interior boundaries; boundary[i] separates sleds[i] and sleds[i+1].
   std::vector<int64_t> boundary(sleds.size() - 1);
   for (size_t i = 0; i + 1 < sleds.size(); ++i) {
     boundary[i] = sleds[i].offset + sleds[i].length;
   }
   for (size_t i = 0; i + 1 < sleds.size(); ++i) {
-    const int64_t b = boundary[i];
-    if (RankLatency(sleds[i + 1], options_.rank_by) < RankLatency(sleds[i], options_.rank_by)) {
-      // Left edge of a low-latency SLED: push the leading record fragment out
-      // to the expensive neighbour by scanning forward (on the cheap side)
-      // for the first record start.
-      const int64_t scan_limit =
-          std::min(sleds[i + 1].offset + sleds[i + 1].length, b + options_.max_record_scan_bytes);
-      SLED_ASSIGN_OR_RETURN(int64_t adjusted, ScanForward(b, scan_limit));
-      if (adjusted >= 0) {
-        boundary[i] = adjusted;
-      }
-    } else if (RankLatency(sleds[i], options_.rank_by) <
-               RankLatency(sleds[i + 1], options_.rank_by)) {
-      // Right edge of a low-latency SLED: push the trailing fragment out by
-      // scanning backward (still on the cheap side) for the last record end.
-      const int64_t scan_limit = std::max(sleds[i].offset, b - options_.max_record_scan_bytes);
-      SLED_ASSIGN_OR_RETURN(int64_t adjusted, ScanBackward(b, scan_limit));
-      if (adjusted >= 0) {
-        boundary[i] = adjusted;
-      }
-    }
-  }
-  // Rebuild, keeping boundaries monotone (a tiny low-latency SLED with no
-  // separators can collapse to nothing).
-  for (size_t i = 1; i < boundary.size(); ++i) {
-    boundary[i] = std::max(boundary[i], boundary[i - 1]);
-  }
-  SledVector rebuilt;
-  for (size_t i = 0; i < sleds.size(); ++i) {
-    const int64_t begin = i == 0 ? sleds.front().offset : boundary[i - 1];
-    const int64_t end =
-        i + 1 == sleds.size() ? sleds.back().offset + sleds.back().length : boundary[i];
-    if (end > begin) {
-      Sled s = sleds[i];
-      s.offset = begin;
-      s.length = end - begin;
-      rebuilt.push_back(s);
-    }
-  }
-  sleds = std::move(rebuilt);
-  return Result<void>::Ok();
-}
-
-void SledsPicker::AdjustToElementBoundaries(SledVector& sleds) const {
-  if (sleds.size() < 2) {
-    return;
-  }
-  const int64_t elem = options_.element_size;
-  const int64_t base = options_.element_base;
-  std::vector<int64_t> boundary(sleds.size() - 1);
-  for (size_t i = 0; i + 1 < sleds.size(); ++i) {
-    boundary[i] = sleds[i].offset + sleds[i].length;
-  }
-  for (size_t i = 0; i + 1 < sleds.size(); ++i) {
-    const int64_t b = boundary[i];
-    if (b <= base) {
-      continue;  // inside the header region; element grid starts at base
-    }
-    const int64_t rel = b - base;
-    if (RankLatency(sleds[i + 1], options_.rank_by) < RankLatency(sleds[i], options_.rank_by)) {
-      // Left edge of a low-latency SLED: round up (fragment joins the
-      // expensive left neighbour).
-      boundary[i] = base + ((rel + elem - 1) / elem) * elem;
-    } else if (RankLatency(sleds[i], options_.rank_by) <
-               RankLatency(sleds[i + 1], options_.rank_by)) {
-      // Right edge: round down.
-      boundary[i] = base + (rel / elem) * elem;
+    const double left = RankLatency(sleds[i], rank_by);
+    const double right = RankLatency(sleds[i + 1], rank_by);
+    if (right < left || left < right) {
+      SLED_ASSIGN_OR_RETURN(boundary[i], move_edge(i, boundary[i], right < left));
     }
   }
   for (size_t i = 1; i < boundary.size(); ++i) {
@@ -264,6 +209,46 @@ void SledsPicker::AdjustToElementBoundaries(SledVector& sleds) const {
     }
   }
   sleds = std::move(rebuilt);
+  return Result<void>::Ok();
+}
+
+}  // namespace
+
+Result<void> SledsPicker::AdjustToRecordBoundaries(SledVector& sleds) {
+  return AdjustEdges(
+      sleds, options_.rank_by, [&](size_t i, int64_t b, bool cheap_right) -> Result<int64_t> {
+        int64_t adjusted = -1;
+        if (cheap_right) {
+          // Left edge of a low-latency SLED: push the leading record fragment
+          // out to the expensive neighbour by scanning forward (on the cheap
+          // side) for the first record start.
+          const int64_t limit = std::min(sleds[i + 1].offset + sleds[i + 1].length,
+                                         b + options_.max_record_scan_bytes);
+          SLED_ASSIGN_OR_RETURN(adjusted, ScanForward(b, limit));
+        } else {
+          // Right edge of a low-latency SLED: push the trailing fragment out
+          // by scanning backward (still on the cheap side) for the last record
+          // end.
+          const int64_t limit = std::max(sleds[i].offset, b - options_.max_record_scan_bytes);
+          SLED_ASSIGN_OR_RETURN(adjusted, ScanBackward(b, limit));
+        }
+        return adjusted >= 0 ? adjusted : b;  // no separator: keep the page edge
+      });
+}
+
+Result<void> SledsPicker::AdjustToElementBoundaries(SledVector& sleds) const {
+  const int64_t elem = options_.element_size;
+  const int64_t base = options_.element_base;
+  return AdjustEdges(sleds, options_.rank_by,
+                     [&](size_t, int64_t b, bool cheap_right) -> Result<int64_t> {
+                       if (b <= base) {
+                         return b;  // inside the header region; the grid starts at base
+                       }
+                       // Round toward the expensive side: up at a cheap SLED's
+                       // left edge, down at its right edge.
+                       const int64_t rel = b - base;
+                       return base + (cheap_right ? (rel + elem - 1) / elem : rel / elem) * elem;
+                     });
 }
 
 Result<void> SledsPicker::Refresh() {
@@ -286,7 +271,7 @@ Result<void> SledsPicker::Refresh() {
   // granularity (the separator scan already happened once). Element
   // alignment is arithmetic, so it is re-applied.
   if (options_.element_size > 0) {
-    AdjustToElementBoundaries(fresh);
+    SLED_RETURN_IF_ERROR(AdjustToElementBoundaries(fresh));
   }
   PruneUnavailable(fresh);
   SortByPickOrder(fresh, options_.rank_by);

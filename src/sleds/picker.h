@@ -105,7 +105,7 @@ class SledsPicker {
   void PruneUnavailable(SledVector& sleds);
   // Pull low-latency SLED edges in to multiples of element_size (from
   // element_base); fragments join the higher-latency neighbour.
-  void AdjustToElementBoundaries(SledVector& sleds) const;
+  Result<void> AdjustToElementBoundaries(SledVector& sleds) const;
   // Fetch SLEDs, restricted to the given byte ranges (empty = whole file).
   Result<SledVector> FetchSleds(const std::vector<std::pair<int64_t, int64_t>>& ranges);
   Result<void> AdjustToRecordBoundaries(SledVector& sleds);

@@ -18,7 +18,6 @@
 #include "src/fs/extent_file_system.h"
 #include "src/fs/hsm_fs.h"
 #include "src/fs/remote_fs.h"
-#include "src/progs/progs_env.h"
 #include "src/replica/replicated_fs.h"
 #include "src/sleds/delivery.h"
 #include "src/workload/chain_gen.h"
@@ -247,7 +246,7 @@ std::string SledShell::CmdMount(const std::vector<std::string>& args) {
     fs = std::make_unique<RemoteFs>("remote", rc);
   } else if (args[0] == "replicated") {
     // Three-way replication over heterogeneous media: local disk, local SSD,
-    // and an NFS-class network store. $SLEDS_HEDGE_P99=1 enables hedged reads.
+    // and an NFS-class network store.
     DiskDeviceConfig dc;
     dc.seed = seed;
     SsdDeviceConfig sc;
@@ -258,15 +257,7 @@ std::string SledShell::CmdMount(const std::vector<std::string>& args) {
     replicas.push_back(std::make_unique<DiskDevice>(dc));
     replicas.push_back(std::make_unique<SsdDevice>(sc));
     replicas.push_back(std::make_unique<NetworkDevice>(nc));
-    ReplicatedFsConfig rc;
-    // Read once and cache: repeated mounts must not re-consult the
-    // environment mid-run (same magic-static pattern as ResolveIoMode).
-    static const bool hedge = [] {
-      const char* v = std::getenv("SLEDS_HEDGE_P99");
-      return v != nullptr && atoi(v) != 0;
-    }();
-    rc.hedge_reads = hedge;
-    fs = std::make_unique<ReplicatedFs>("replicated", std::move(replicas), rc);
+    fs = std::make_unique<ReplicatedFs>("replicated", std::move(replicas), ReplicatedFsConfig{});
   } else {
     return "error: unknown fs kind '" + args[0] + "'\n";
   }
@@ -364,7 +355,6 @@ std::string SledShell::CmdCat(const std::vector<std::string>& args) {
 
 std::string SledShell::CmdWc(const std::vector<std::string>& args) {
   WcOptions options;
-  options.kernel_program = ProgsEnabledFromEnv();  // $SLEDS_PROGS=1
   std::string path;
   for (const std::string& a : args) {
     if (a == "-s") {
@@ -413,11 +403,6 @@ std::string SledShell::CmdGrep(const std::vector<std::string>& args) {
   }
   if (positional.size() != 2) {
     return "usage: grep [-s] [-q] [-n] [-p] [-A n] [-B n] <pattern> <path>\n";
-  }
-  // $SLEDS_PROGS=1 turns -q greps into completion programs by default; other
-  // greps need assembled lines, which only the userspace path produces.
-  if (options.quiet_first_match && ProgsEnabledFromEnv()) {
-    options.kernel_program = true;
   }
   Process& p = NewProcess("grep");
   auto r = GrepApp::Run(*kernel_, p, positional[1], positional[0], options);
@@ -492,7 +477,6 @@ std::string SledShell::CmdChain(const std::vector<std::string>& args) {
     return "usage: chain <path> [-name <substr>] [-p]\n";
   }
   ChainOptions options;
-  options.kernel_program = ProgsEnabledFromEnv();  // $SLEDS_PROGS=1
   const std::string path = args[0];
   for (size_t i = 1; i < args.size(); ++i) {
     if (args[i] == "-p") {

@@ -17,7 +17,7 @@
 //   chain <path> [-name <substr>] [-p]  walk a chain file hop by hop
 //
 // -p runs the command as a kernel-resident completion program (grep needs
-// -q with it); $SLEDS_PROGS=1 makes -p the default for wc/grep/chain.
+// -q with it).
 //   sleds <path>                   the gmc properties panel
 //   delivery <path>                estimated total delivery time
 //   lock <path> | unlock <path>    FSLEDS_LOCK whole file / release

@@ -94,6 +94,9 @@ Result<Trace> ParseTrace(const std::string& text) {
     } else {
       return Err::kInval;
     }
+    if (e.offset < 0 || e.length < 0) {
+      return Err::kInval;  // lseek replays as an absolute seek; lengths size buffers
+    }
     trace.push_back(std::move(e));
   }
   return trace;

@@ -1,250 +1,26 @@
-// Randomized differential test: the frame-table PageCache against a naive
-// reference model that replicates the old node-based implementation (recency
-// list plus flat hash map, with every query a full scan). Millions of mixed
-// operations — touches, inserts (clean, dirty, in-flight, via every probe
-// API), pins, truncates, arrivals — must produce identical residency, dirty
-// sets, eviction sequences, pin results, and stats under both replacement
-// policies, the frame table's internal audit (ValidateIndex) must hold
-// throughout, and the run-oriented queries must agree with runs derived from
-// the naive resident-page list.
+// Randomized differential test: the frame-table PageCache against the
+// reference model (tests/reference_page_cache.h), the node-based layout it
+// replaced. Millions of mixed operations — touches, inserts (clean, dirty,
+// in-flight, via every probe API), pins, truncates, arrivals — must produce
+// identical residency, dirty sets, eviction sequences, pin results, and stats
+// under both replacement policies, the frame table's internal audit
+// (ValidateIndex) must hold throughout, and the run-oriented queries must
+// agree with runs derived from the reference's full-scan resident-page list.
+// The reference's own indexed queries — the ones bench_scale times — are
+// checked against PageCache at every audited page too.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <list>
+#include <iterator>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "src/cache/page_cache.h"
 #include "src/common/rng.h"
+#include "tests/reference_page_cache.h"
 
 namespace sled {
 namespace {
-
-// The old PageCache, kept deliberately simple: correctness oracle only.
-class NaiveCache {
- public:
-  explicit NaiveCache(PageCacheConfig config) : config_(config) {}
-
-  bool Contains(PageKey key) const { return entries_.contains(key); }
-
-  bool Touch(PageKey key) {
-    auto it = entries_.find(key);
-    if (it == entries_.end()) {
-      ++stats_.misses;
-      return false;
-    }
-    ++stats_.hits;
-    if (config_.policy == ReplacementPolicy::kLru) {
-      order_.splice(order_.end(), order_, it->second.it);
-    } else {
-      it->second.referenced = true;
-    }
-    return true;
-  }
-
-  std::optional<EvictedPage> Insert(PageKey key, bool dirty, bool in_flight = false) {
-    auto it = entries_.find(key);
-    if (it != entries_.end()) {
-      it->second.dirty = it->second.dirty || dirty;
-      if (config_.policy == ReplacementPolicy::kLru) {
-        order_.splice(order_.end(), order_, it->second.it);
-      } else {
-        it->second.referenced = true;
-      }
-      return std::nullopt;
-    }
-    std::optional<EvictedPage> evicted;
-    if (static_cast<int64_t>(entries_.size()) >= config_.capacity_pages) {
-      evicted = EvictOne();
-    }
-    order_.push_back(key);
-    entries_.emplace(key, Entry{std::prev(order_.end()), dirty, false, false, in_flight});
-    if (in_flight) {
-      ++in_flight_;
-    }
-    ++stats_.insertions;
-    return evicted;
-  }
-
-  // A resident page stays completely untouched (no recency refresh).
-  std::optional<EvictedPage> InsertIfAbsent(PageKey key, bool dirty, bool in_flight = false) {
-    if (Contains(key)) {
-      return std::nullopt;
-    }
-    return Insert(key, dirty, in_flight);
-  }
-
-  void MarkArrived(PageKey key) {
-    auto it = entries_.find(key);
-    if (it != entries_.end() && it->second.in_flight) {
-      it->second.in_flight = false;
-      --in_flight_;
-    }
-  }
-
-  bool IsInFlight(PageKey key) const {
-    auto it = entries_.find(key);
-    return it != entries_.end() && it->second.in_flight;
-  }
-
-  bool Pin(PageKey key) {
-    auto it = entries_.find(key);
-    if (it == entries_.end() || pinned_ >= config_.capacity_pages / 2) {
-      return false;
-    }
-    if (!it->second.pinned) {
-      it->second.pinned = true;
-      ++pinned_;
-    }
-    return true;
-  }
-
-  void Unpin(PageKey key) {
-    auto it = entries_.find(key);
-    if (it != entries_.end() && it->second.pinned) {
-      it->second.pinned = false;
-      --pinned_;
-    }
-  }
-
-  bool IsPinned(PageKey key) const {
-    auto it = entries_.find(key);
-    return it != entries_.end() && it->second.pinned;
-  }
-
-  void MarkDirty(PageKey key) { entries_.at(key).dirty = true; }
-  void MarkClean(PageKey key) { entries_.at(key).dirty = false; }
-
-  bool IsDirty(PageKey key) const {
-    auto it = entries_.find(key);
-    return it != entries_.end() && it->second.dirty;
-  }
-
-  void Remove(PageKey key) {
-    auto it = entries_.find(key);
-    if (it == entries_.end()) {
-      return;
-    }
-    if (it->second.pinned) {
-      --pinned_;
-    }
-    if (it->second.in_flight) {
-      --in_flight_;
-    }
-    order_.erase(it->second.it);
-    entries_.erase(it);
-  }
-
-  void RemoveFile(FileId file) {
-    for (int64_t page : ResidentPagesOf(file)) {
-      Remove({file, page});
-    }
-  }
-
-  void RemovePagesFrom(FileId file, int64_t first_page) {
-    for (int64_t page : ResidentPagesOf(file)) {
-      if (page >= first_page) {
-        Remove({file, page});
-      }
-    }
-  }
-
-  void Clear() {
-    entries_.clear();
-    order_.clear();
-    pinned_ = 0;
-    in_flight_ = 0;
-  }
-
-  std::vector<int64_t> ResidentPagesOf(FileId file) const {
-    std::vector<int64_t> pages;
-    for (const auto& [key, entry] : entries_) {
-      if (key.file == file) {
-        pages.push_back(key.page);
-      }
-    }
-    std::sort(pages.begin(), pages.end());
-    return pages;
-  }
-
-  std::vector<PageKey> DirtyPagesOf(FileId file) const {
-    std::vector<PageKey> dirty;
-    for (const auto& [key, entry] : entries_) {
-      if (key.file == file && entry.dirty) {
-        dirty.push_back(key);
-      }
-    }
-    std::sort(dirty.begin(), dirty.end(),
-              [](const PageKey& a, const PageKey& b) { return a.page < b.page; });
-    return dirty;
-  }
-
-  std::vector<PageKey> AllDirtyPages() const {
-    std::vector<PageKey> dirty;
-    for (const auto& [key, entry] : entries_) {
-      if (entry.dirty) {
-        dirty.push_back(key);
-      }
-    }
-    std::sort(dirty.begin(), dirty.end(), [](const PageKey& a, const PageKey& b) {
-      return a.file != b.file ? a.file < b.file : a.page < b.page;
-    });
-    return dirty;
-  }
-
-  int64_t size_pages() const { return static_cast<int64_t>(entries_.size()); }
-  int64_t pinned_pages() const { return pinned_; }
-  int64_t in_flight_pages() const { return in_flight_; }
-  const PageCacheStats& stats() const { return stats_; }
-
- private:
-  struct Entry {
-    std::list<PageKey>::iterator it;
-    bool dirty = false;
-    bool referenced = false;
-    bool pinned = false;
-    bool in_flight = false;
-  };
-
-  EvictedPage EvictOne() {
-    for (int sweep = 0; sweep < 3; ++sweep) {
-      auto it = order_.begin();
-      while (it != order_.end()) {
-        Entry& entry = entries_.at(*it);
-        if (entry.pinned || entry.in_flight) {
-          ++it;
-          continue;
-        }
-        if (config_.policy == ReplacementPolicy::kClock && entry.referenced) {
-          entry.referenced = false;
-          auto next = std::next(it);
-          order_.splice(order_.end(), order_, it);
-          entry.it = std::prev(order_.end());
-          it = next;
-          continue;
-        }
-        EvictedPage evicted{*it, entry.dirty};
-        entries_.erase(*it);
-        order_.erase(it);
-        ++stats_.evictions;
-        if (evicted.dirty) {
-          ++stats_.dirty_evictions;
-        }
-        return evicted;
-      }
-    }
-    ADD_FAILURE() << "no evictable page";
-    return {};
-  }
-
-  PageCacheConfig config_;
-  std::unordered_map<PageKey, Entry, PageKeyHash> entries_;
-  std::list<PageKey> order_;
-  PageCacheStats stats_;
-  int64_t pinned_ = 0;
-  int64_t in_flight_ = 0;
-};
 
 std::vector<PageRun> RunsFromPages(const std::vector<int64_t>& pages) {
   std::vector<PageRun> runs;
@@ -258,22 +34,27 @@ std::vector<PageRun> RunsFromPages(const std::vector<int64_t>& pages) {
   return runs;
 }
 
-void ExpectSameState(const PageCache& cache, const NaiveCache& naive,
+void ExpectSameState(const PageCache& cache, const ReferencePageCache& ref,
                      const std::vector<FileId>& files, int64_t max_page) {
   ASSERT_TRUE(cache.ValidateIndex());
-  EXPECT_EQ(cache.size_pages(), naive.size_pages());
-  EXPECT_EQ(cache.pinned_pages(), naive.pinned_pages());
-  EXPECT_EQ(cache.in_flight_pages(), naive.in_flight_pages());
-  EXPECT_EQ(cache.stats().hits, naive.stats().hits);
-  EXPECT_EQ(cache.stats().misses, naive.stats().misses);
-  EXPECT_EQ(cache.stats().insertions, naive.stats().insertions);
-  EXPECT_EQ(cache.stats().evictions, naive.stats().evictions);
-  EXPECT_EQ(cache.stats().dirty_evictions, naive.stats().dirty_evictions);
-  EXPECT_EQ(cache.AllDirtyPages(), naive.AllDirtyPages());
+  EXPECT_EQ(cache.size_pages(), ref.size_pages());
+  EXPECT_EQ(cache.pinned_pages(), ref.pinned_pages());
+  EXPECT_EQ(cache.in_flight_pages(), ref.in_flight_pages());
+  EXPECT_EQ(cache.stats().hits, ref.stats().hits);
+  EXPECT_EQ(cache.stats().misses, ref.stats().misses);
+  EXPECT_EQ(cache.stats().insertions, ref.stats().insertions);
+  EXPECT_EQ(cache.stats().evictions, ref.stats().evictions);
+  EXPECT_EQ(cache.stats().dirty_evictions, ref.stats().dirty_evictions);
+  const std::vector<PageKey> all_dirty = ref.AllDirtyPages();
+  EXPECT_EQ(cache.AllDirtyPages(), all_dirty);
   for (FileId file : files) {
-    const std::vector<int64_t> pages = naive.ResidentPagesOf(file);
+    const std::vector<int64_t> pages = ref.ResidentPagesOf(file);
     EXPECT_EQ(cache.ResidentPagesOf(file), pages);
-    EXPECT_EQ(cache.DirtyPagesOf(file), naive.DirtyPagesOf(file));
+    std::vector<PageKey> dirty;
+    std::copy_if(all_dirty.begin(), all_dirty.end(), std::back_inserter(dirty),
+                 [file](const PageKey& k) { return k.file == file; });
+    EXPECT_EQ(cache.DirtyPagesOf(file), dirty);
+    EXPECT_EQ(ref.DirtyPagesOf(file), dirty) << "reference dirty index, file " << file;
     const std::vector<PageRun> runs = RunsFromPages(pages);
     EXPECT_EQ(cache.ResidentRunsOf(file), runs);
     EXPECT_EQ(cache.ResidentRunCountOf(file), static_cast<int64_t>(runs.size()));
@@ -296,6 +77,10 @@ void ExpectSameState(const PageCache& cache, const NaiveCache& naive,
       if (next.has_value()) {
         EXPECT_EQ(*next, *expect);
       }
+      // The reference's run index (what bench_scale times) must agree too.
+      EXPECT_EQ(ref.NextResidentRun(file, page), next) << "file " << file << " page " << page;
+      EXPECT_EQ(ref.NextMissAfter(file, page), cache.NextMissAfter(file, page))
+          << "file " << file << " page " << page;
     }
   }
 }
@@ -308,7 +93,7 @@ constexpr int64_t kMaxInFlight = 16;
 void RunDifferential(ReplacementPolicy policy, uint64_t seed, int ops, int checkpoint_every) {
   const PageCacheConfig config{.capacity_pages = 64, .policy = policy};
   PageCache cache(config);
-  NaiveCache naive(config);
+  ReferencePageCache ref(config);
   Rng rng(seed);
   const std::vector<FileId> files = {1, 2, 3, 7};
   constexpr int64_t kMaxPage = 99;
@@ -316,7 +101,7 @@ void RunDifferential(ReplacementPolicy policy, uint64_t seed, int ops, int check
   // checkpoint on top of the per-op result comparison, so a divergence in
   // replacement order is caught even if the op results happen to agree.
   std::vector<EvictedPage> evictions_cache;
-  std::vector<EvictedPage> evictions_naive;
+  std::vector<EvictedPage> evictions_ref;
   std::vector<PageKey> in_flight_keys;
   auto record = [](std::vector<EvictedPage>& log, const std::optional<EvictedPage>& e) {
     if (e.has_value()) {
@@ -333,15 +118,15 @@ void RunDifferential(ReplacementPolicy policy, uint64_t seed, int ops, int check
     const int64_t roll = rng.Uniform(0, 99);
     if (roll < 20) {  // Touch, half through the frame-returning probe
       if (rng.Uniform(0, 1) == 0) {
-        EXPECT_EQ(cache.Touch(key), naive.Touch(key));
+        EXPECT_EQ(cache.Touch(key), ref.Touch(key));
       } else {
         PageCache::Frame* frame = cache.TouchProbe(key);
-        EXPECT_EQ(frame != nullptr, naive.Touch(key));
+        EXPECT_EQ(frame != nullptr, ref.Touch(key));
         if (frame != nullptr) {
           EXPECT_EQ(frame->key(), key);
-          EXPECT_EQ(frame->dirty(), naive.IsDirty(key));
-          EXPECT_EQ(frame->pinned(), naive.IsPinned(key));
-          EXPECT_EQ(frame->in_flight(), naive.IsInFlight(key));
+          EXPECT_EQ(frame->dirty(), ref.IsDirty(key));
+          EXPECT_EQ(frame->pinned(), ref.IsPinned(key));
+          EXPECT_EQ(frame->in_flight(), ref.IsInFlight(key));
         }
       }
     } else if (roll < 60) {  // Insert, clean or dirty, via a random API
@@ -349,30 +134,30 @@ void RunDifferential(ReplacementPolicy policy, uint64_t seed, int ops, int check
       switch (rng.Uniform(0, 2)) {
         case 0: {
           auto a = cache.Insert(key, dirty);
-          auto b = naive.Insert(key, dirty);
+          auto b = ref.Insert(key, dirty);
           EXPECT_EQ(a, b);
           record(evictions_cache, a);
-          record(evictions_naive, b);
+          record(evictions_ref, b);
           break;
         }
         case 1: {
           auto a = cache.InsertIfAbsent(key, dirty);
-          auto b = naive.InsertIfAbsent(key, dirty);
+          auto b = ref.InsertIfAbsent(key, dirty);
           EXPECT_EQ(a, b);
           record(evictions_cache, a);
-          record(evictions_naive, b);
+          record(evictions_ref, b);
           break;
         }
         case 2: {  // the kernel's write path: Probe then Freshen-or-Insert
           if (PageCache::Frame* frame = cache.Probe(key)) {
             cache.Freshen(frame, dirty);
-            naive.Insert(key, dirty);  // resident: refresh + OR dirty
+            ref.Insert(key, dirty);  // resident: refresh + OR dirty
           } else {
             auto a = cache.Insert(key, dirty);
-            auto b = naive.Insert(key, dirty);
+            auto b = ref.Insert(key, dirty);
             EXPECT_EQ(a, b);
             record(evictions_cache, a);
-            record(evictions_naive, b);
+            record(evictions_ref, b);
           }
           break;
         }
@@ -380,10 +165,10 @@ void RunDifferential(ReplacementPolicy policy, uint64_t seed, int ops, int check
     } else if (roll < 66) {  // in-flight insert (bounded) / arrival
       if (cache.in_flight_pages() < kMaxInFlight && rng.Uniform(0, 1) == 0) {
         auto a = cache.InsertIfAbsent(key, /*dirty=*/false, /*in_flight=*/true);
-        auto b = naive.InsertIfAbsent(key, /*dirty=*/false, /*in_flight=*/true);
+        auto b = ref.InsertIfAbsent(key, /*dirty=*/false, /*in_flight=*/true);
         EXPECT_EQ(a, b);
         record(evictions_cache, a);
-        record(evictions_naive, b);
+        record(evictions_ref, b);
         if (cache.IsInFlight(key)) {
           in_flight_keys.push_back(key);
         }
@@ -393,25 +178,25 @@ void RunDifferential(ReplacementPolicy policy, uint64_t seed, int ops, int check
         const PageKey arrived = in_flight_keys[pick];
         in_flight_keys.erase(in_flight_keys.begin() + static_cast<std::ptrdiff_t>(pick));
         cache.MarkArrived(arrived);
-        naive.MarkArrived(arrived);
+        ref.MarkArrived(arrived);
         EXPECT_FALSE(cache.IsInFlight(arrived));
       }
-      EXPECT_EQ(cache.IsInFlight(key), naive.IsInFlight(key));
+      EXPECT_EQ(cache.IsInFlight(key), ref.IsInFlight(key));
     } else if (roll < 71) {  // Remove
       cache.Remove(key);
-      naive.Remove(key);
+      ref.Remove(key);
     } else if (roll < 78) {  // Pin / Unpin, half through the frame API
       if (rng.Uniform(0, 2) != 0) {
         if (rng.Uniform(0, 1) == 0) {
-          EXPECT_EQ(cache.Pin(key), naive.Pin(key));
+          EXPECT_EQ(cache.Pin(key), ref.Pin(key));
         } else {
-          EXPECT_EQ(cache.Pin(cache.Probe(key)), naive.Pin(key));
+          EXPECT_EQ(cache.Pin(cache.Probe(key)), ref.Pin(key));
         }
       } else {
         cache.Unpin(key);
-        naive.Unpin(key);
+        ref.Unpin(key);
       }
-      EXPECT_EQ(cache.IsPinned(key), naive.IsPinned(key));
+      EXPECT_EQ(cache.IsPinned(key), ref.IsPinned(key));
     } else if (roll < 86) {  // MarkDirty / MarkClean on resident pages
       if (PageCache::Frame* frame = cache.Probe(key)) {
         if (rng.Uniform(0, 1) == 0) {
@@ -420,38 +205,38 @@ void RunDifferential(ReplacementPolicy policy, uint64_t seed, int ops, int check
           } else {
             cache.MarkDirty(frame);
           }
-          naive.MarkDirty(key);
+          ref.MarkDirty(key);
         } else {
           cache.MarkClean(key);
-          naive.MarkClean(key);
+          ref.MarkClean(key);
         }
       }
-      EXPECT_EQ(cache.IsDirty(key), naive.IsDirty(key));
+      EXPECT_EQ(cache.IsDirty(key), ref.IsDirty(key));
     } else if (roll < 87) {  // RemovePagesFrom (truncate)
       cache.RemovePagesFrom(file, page);
-      naive.RemovePagesFrom(file, page);
+      ref.RemovePagesFrom(file, page);
     } else if (roll < 88) {  // RemoveFile (halved again: it drops size/4 pages)
       if (rng.Uniform(0, 1) == 0) {
         cache.RemoveFile(file);
-        naive.RemoveFile(file);
+        ref.RemoveFile(file);
       } else {
         cache.Remove(key);
-        naive.Remove(key);
+        ref.Remove(key);
       }
     } else if (roll < 99) {  // spot-check queries
-      EXPECT_EQ(cache.Contains(key), naive.Contains(key));
-      EXPECT_EQ(cache.IsDirty(key), naive.IsDirty(key));
-      EXPECT_EQ(cache.IsInFlight(key), naive.IsInFlight(key));
+      EXPECT_EQ(cache.Contains(key), ref.Contains(key));
+      EXPECT_EQ(cache.IsDirty(key), ref.IsDirty(key));
+      EXPECT_EQ(cache.IsInFlight(key), ref.IsInFlight(key));
       const PageCache::Frame* frame = cache.Probe(key);
-      EXPECT_EQ(frame != nullptr, naive.Contains(key));
+      EXPECT_EQ(frame != nullptr, ref.Contains(key));
     } else if (rng.Uniform(0, 9) == 0) {  // very rare full reset (~0.1%)
       cache.Clear();
-      naive.Clear();
+      ref.Clear();
       in_flight_keys.clear();
     }
     if (op % checkpoint_every == checkpoint_every - 1) {
-      EXPECT_EQ(evictions_cache, evictions_naive);
-      ExpectSameState(cache, naive, files, kMaxPage);
+      EXPECT_EQ(evictions_cache, evictions_ref);
+      ExpectSameState(cache, ref, files, kMaxPage);
       if (::testing::Test::HasFailure()) {
         FAIL() << "divergence at op " << op << " (policy "
                << (policy == ReplacementPolicy::kLru ? "lru" : "clock") << ", seed " << seed
@@ -459,18 +244,18 @@ void RunDifferential(ReplacementPolicy policy, uint64_t seed, int ops, int check
       }
     }
   }
-  EXPECT_EQ(evictions_cache, evictions_naive);
+  EXPECT_EQ(evictions_cache, evictions_ref);
   EXPECT_GT(evictions_cache.size(), 0u);
-  ExpectSameState(cache, naive, files, kMaxPage);
+  ExpectSameState(cache, ref, files, kMaxPage);
 }
 
-TEST(CacheDiffTest, LruMatchesNaiveModel) {
+TEST(CacheDiffTest, LruMatchesReferenceModel) {
   for (uint64_t seed : {11u, 22u, 33u}) {
     RunDifferential(ReplacementPolicy::kLru, seed, 4000, 200);
   }
 }
 
-TEST(CacheDiffTest, ClockMatchesNaiveModel) {
+TEST(CacheDiffTest, ClockMatchesReferenceModel) {
   for (uint64_t seed : {44u, 55u, 66u}) {
     RunDifferential(ReplacementPolicy::kClock, seed, 4000, 200);
   }

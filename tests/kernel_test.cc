@@ -2,9 +2,11 @@
 // accounting, writeback, and the SLEDs ioctls.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "src/device/disk_device.h"
 #include "src/fs/extent_file_system.h"
@@ -82,6 +84,25 @@ TEST(KernelTest, LseekWhence) {
   EXPECT_EQ(w.kernel->Lseek(*w.proc, fd, 5, Whence::kCur).value(), 15);
   EXPECT_EQ(w.kernel->Lseek(*w.proc, fd, -20, Whence::kEnd).value(), 80);
   EXPECT_EQ(w.kernel->Lseek(*w.proc, fd, -200, Whence::kEnd).error(), Err::kInval);
+  // Hostile offsets: the sum must not overflow, and no offset passes
+  // kMaxFileBytes.
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  EXPECT_EQ(w.kernel->Lseek(*w.proc, fd, kMax, Whence::kCur).error(), Err::kInval);
+  EXPECT_EQ(w.kernel->Lseek(*w.proc, fd, kMax, Whence::kEnd).error(), Err::kInval);
+  EXPECT_EQ(w.kernel->Lseek(*w.proc, fd, kMax - 2, Whence::kSet).error(), Err::kInval);
+  EXPECT_EQ(w.kernel->Lseek(*w.proc, fd, kMaxFileBytes + 1, Whence::kSet).error(), Err::kInval);
+  EXPECT_EQ(w.kernel->Lseek(*w.proc, fd, 0, Whence::kCur).value(), 80);
+  // A write whose end would pass the bound is refused before any byte lands
+  // or the size changes; so is a truncate past it.
+  ASSERT_EQ(w.kernel->Lseek(*w.proc, fd, kMaxFileBytes - 8, Whence::kSet).value(),
+            kMaxFileBytes - 8);
+  const std::string tail(16, 't');
+  EXPECT_EQ(w.kernel->Write(*w.proc, fd, std::span<const char>(tail.data(), tail.size())).error(),
+            Err::kInval);
+  EXPECT_EQ(w.kernel->Ftruncate(*w.proc, fd, kMax).error(), Err::kInval);
+  EXPECT_EQ(w.kernel->Ftruncate(*w.proc, fd, kMaxFileBytes + 1).error(), Err::kInval);
+  EXPECT_EQ(w.kernel->Stat(*w.proc, "/f").value().size, 100);
+  EXPECT_EQ(ReadFile(*w.kernel, *w.proc, "/f"), std::string(100, 'x'));
 }
 
 TEST(KernelTest, ColdReadFaultsWarmReadHits) {
@@ -479,6 +500,51 @@ TEST(KernelTest, SynchronousFlushTimeIsChargedToTriggeringProcess) {
   ASSERT_TRUE(kernel->Close(p, fd).ok());
   EXPECT_GT(kernel->obs().metrics().counter("kernel.writeback_flushes"), 0);
   EXPECT_EQ(kernel->clock().Now().since_epoch().nanos(), p.stats().elapsed().nanos());
+}
+
+TEST(KernelTest, ClockIsEveryProcessElapsedPlusBackgroundIo) {
+  // One charge path: the clock advances only on a process's cpu or io
+  // account or on the background ledger, so with two processes sharing the
+  // kernel the clock is their elapsed times plus background_io_time in every
+  // I/O mode. The workload writes past a small cache (writeback batches
+  // flush), reads with readahead, and calls Fsync, FlushAllDirty and
+  // RunMaintenance.
+  for (const IoMode mode : {IoMode::kFifoSync, IoMode::kFifoAsync, IoMode::kElevator}) {
+    KernelConfig config;
+    config.cache.capacity_pages = 16;
+    config.writeback_batch_pages = 8;
+    config.io.mode = mode;
+    SimKernel kernel(config);
+    auto fs = std::make_unique<ExtFs>("ext2", std::make_unique<DiskDevice>(DiskDeviceConfig{}));
+    ASSERT_TRUE(kernel.Mount("/", std::move(fs)).ok());
+    Process& writer = kernel.CreateProcess("writer");
+    Process& reader = kernel.CreateProcess("reader");
+    const std::string data(64 * kPageSize, 'w');
+    const int wfd = kernel.Create(writer, "/out").value();
+    ASSERT_TRUE(kernel.Write(writer, wfd, std::span<const char>(data.data(), data.size())).ok());
+    ASSERT_TRUE(kernel.Fsync(writer, wfd).ok());
+    const int rfd = kernel.Open(reader, "/out").value();
+    std::vector<char> buf(static_cast<size_t>(3 * kPageSize));
+    ASSERT_TRUE(kernel.Read(reader, rfd, std::span<char>(buf.data(), buf.size())).ok());
+    // Two dirty runs: the engine dispatches the first at once and queues the
+    // second, so FlushAllDirty's drain waits in every mode.
+    ASSERT_TRUE(kernel.Write(writer, wfd, std::span<const char>(data.data(), 8 * kPageSize)).ok());
+    ASSERT_TRUE(kernel.Lseek(writer, wfd, 0, Whence::kSet).ok());
+    ASSERT_TRUE(kernel.Write(writer, wfd, std::span<const char>(data.data(), 2 * kPageSize)).ok());
+    (void)kernel.FlushAllDirty();
+    while (kernel.Read(reader, rfd, std::span<char>(buf.data(), buf.size())).value() > 0) {
+    }
+    (void)kernel.RunMaintenance();
+    ASSERT_TRUE(kernel.Close(reader, rfd).ok());
+    ASSERT_TRUE(kernel.Close(writer, wfd).ok());
+    EXPECT_GT(reader.stats().major_faults, 0);
+    EXPECT_GT(kernel.stats().pages_written_back, 0);
+    EXPECT_GT(kernel.stats().background_io_time.nanos(), 0);
+    EXPECT_EQ(kernel.clock().Now().since_epoch().nanos(),
+              writer.stats().elapsed().nanos() + reader.stats().elapsed().nanos() +
+                  kernel.stats().background_io_time.nanos())
+        << "mode " << static_cast<int>(mode);
+  }
 }
 
 TEST(KernelTest, ReadAndMmapReadShareReadaheadPlanning) {

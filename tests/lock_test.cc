@@ -2,8 +2,10 @@
 // page pinning in the cache and the FSLEDS_LOCK/FSLEDS_UNLOCK ioctls.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "src/cache/page_cache.h"
 #include "src/device/disk_device.h"
@@ -179,6 +181,14 @@ TEST(SledsLockTest, LockBudgetEnforcedThroughIoctl) {
   EXPECT_EQ(pinned, 16);
   EXPECT_EQ(w.kernel->IoctlSledsLock(*w.proc, fd, -1, 8).error(), Err::kInval);
   EXPECT_EQ(w.kernel->IoctlSledsLock(*w.proc, fd, 0, 0).error(), Err::kInval);
+  // A range whose end overflows (or passes kMaxFileBytes) is refused, not
+  // wrapped.
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  EXPECT_EQ(w.kernel->IoctlSledsLock(*w.proc, fd, kPageSize, kMax).error(), Err::kInval);
+  EXPECT_EQ(w.kernel->IoctlSledsGet(*w.proc, fd, kPageSize, kMax).error(), Err::kInval);
+  EXPECT_EQ(w.kernel->IoctlSledsGet(*w.proc, fd, kMaxFileBytes, 1).error(), Err::kInval);
+  EXPECT_EQ(w.kernel->IoctlSledsGet(*w.proc, fd, kMaxFileBytes, 0).value().size(), 0u);
+  EXPECT_EQ(w.kernel->cache().pinned_pages(), 16);
   ASSERT_TRUE(w.kernel->Close(*w.proc, fd).ok());
 }
 
@@ -193,6 +203,9 @@ TEST(SledsLockTest, UnlockRejectsEmptyAndNegativeRanges) {
   // `offset`.
   EXPECT_EQ(w.kernel->IoctlSledsUnlock(*w.proc, fd, 100, 0).error(), Err::kInval);
   EXPECT_EQ(w.kernel->IoctlSledsUnlock(*w.proc, fd, -1, 8).error(), Err::kInval);
+  EXPECT_EQ(w.kernel->IoctlSledsUnlock(*w.proc, fd, kPageSize, std::numeric_limits<int64_t>::max())
+                .error(),
+            Err::kInval);
   EXPECT_EQ(w.kernel->cache().pinned_pages(), 16);
   EXPECT_EQ(w.kernel->IoctlSledsUnlock(*w.proc, fd, 100, 1).value(), 1);
   EXPECT_EQ(w.kernel->IoctlSledsUnlock(*w.proc, fd, 0, -1).value(), 15);

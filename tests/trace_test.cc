@@ -148,6 +148,15 @@ TEST(TraceTest, ReplayErrorsOnBadTrace) {
   Trace missing;
   missing.push_back({TraceOp::kOpen, 1, "/data/nope", 0, 0});
   EXPECT_EQ(ReplayTrace(*tb.kernel, missing).error(), Err::kNoEnt);
+  // Negative lengths and offsets are refused at parse time; replay would
+  // otherwise size a buffer from them.
+  for (const char* text : {"open 3 /f\nread 3 -1\n", "open 3 /f\nwrite 3 -5\n",
+                           "open 3 /f\nlseek 3 -1\n", "open 3 /f\nmmap_read 3 -1 10\n",
+                           "open 3 /f\nmmap_read 3 0 -10\n"}) {
+    const Result<Trace> parsed = ParseTrace(text);
+    ASSERT_FALSE(parsed.ok()) << text;
+    EXPECT_EQ(parsed.error(), Err::kInval) << text;
+  }
 }
 
 }  // namespace
