@@ -1,5 +1,5 @@
 // Microbenchmarks for the SLEDs hot paths: cache ops, kernel SLED scans,
-// picker stepping, wc's count, the Horspool search, random draws and text
+// picker stepping, wc's count, grep's search, random draws and text
 // generation, the FITS pixel and row codecs, and the histogram loops.
 // These bound the CPU overhead the SLEDs machinery adds per I/O.
 //
@@ -165,27 +165,20 @@ void BM_WcCount(benchmark::State& state) {
 }
 BENCHMARK(BM_WcCount);
 
-// Horspool over 1 MiB of generator text, either as one haystack (arg 0) or
-// line by line through one searcher, the way grep scans (arg kGenLineLen).
-void BM_HorspoolSearch(benchmark::State& state) {
+// HorspoolSearchAll (grep's search) over 1 MiB of generator text, one needle
+// per registration: the workloads' marker, whose first byte the generator
+// never writes, and two whose first byte is common.
+void BM_HorspoolSearch(benchmark::State& state, std::string_view needle) {
   const std::string text = GeneratedText();
   const std::string_view view(text);
-  const size_t line = static_cast<size_t>(state.range(0));
   for (auto _ : state) {
-    if (line == 0) {
-      benchmark::DoNotOptimize(HorspoolSearchAll(view, kGrepMarker));
-      continue;
-    }
-    const HorspoolSearcher searcher(kGrepMarker);
-    size_t found = 0;
-    for (size_t at = 0; at < view.size(); at += line) {
-      found += searcher.Find(view.substr(at, line)) != std::string_view::npos;
-    }
-    benchmark::DoNotOptimize(found);
+    benchmark::DoNotOptimize(HorspoolSearchAll(view, needle));
   }
   SetNsPer(state, "byte", text.size());
 }
-BENCHMARK(BM_HorspoolSearch)->Arg(0)->Arg(kGenLineLen);
+BENCHMARK_CAPTURE(BM_HorspoolSearch, marker, kGrepMarker);
+BENCHMARK_CAPTURE(BM_HorspoolSearch, the, std::string_view("the"));
+BENCHMARK_CAPTURE(BM_HorspoolSearch, e_space_e, std::string_view("e e"));
 
 // One letter draw (Uniform(0, 25), the text generator's inner step) per
 // count: arg 0 draws from Rng, arg 1 from std::mt19937_64 through the same

@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Paired A/B runs of one perfbench workload: a base commit against the working tree.
+"""Paired A/B runs of a perfbench workload or a bench/ binary: a base commit against this tree.
 
     scripts/ab.py --base HEAD~1 --workload fits_rw --pairs 10 --seed 101
+    SLEDS_BENCH_MAX_MB=48 scripts/ab.py --base HEAD~1 --bench bench_fig10_grep_all_cdrom --pairs 3
 
 Run from anywhere inside the repository. The base commit is checked out into
 a detached `git worktree` (<workdir>/base), or --base-tree names a checkout of
@@ -30,9 +31,19 @@ With --trace 1, each run is traced, and since a traced run reports only the
 per-layer metrics, those are tabulated instead (medians and identical pairs;
 no verdicts).
 
+With --bench <target> in place of --workload, each tree's CMake target
+<target> (a bench/ binary) is built in Release into <workdir>/<side>-bench,
+and each pair runs both binaries once, in the same alternating order, with
+this process's environment (so SLEDS_BENCH_* sizes the sweep) and the tree as
+the working directory; --seed, --seconds and --trace do not apply. Every run
+prints its wall seconds, every pair whether the two stdouts are identical once
+the "build" line of the BENCH JSON blocks is dropped, and the summary gives
+each side's median and quartiles of wall seconds and the change's wins.
+
 Exit code: 0 when every run succeeded with no failed ops, 1 when any run
-failed or reported failed ops or a failed output check, 2 on a setup or build
-error. BENCHMARK.json is only read; nothing under perfbench/ is written.
+failed or reported failed ops or a failed output check (a bench: exited
+nonzero), 2 on a setup or build error. BENCHMARK.json is only read; nothing
+under perfbench/ is written.
 --workdir keeps the worktree and both builds for the next invocation;
 without it they go to a temporary directory that is removed at the end.
 """
@@ -44,6 +55,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 
 ROOT = subprocess.run(
     ["git", "-C", os.path.dirname(os.path.abspath(__file__)), "rev-parse", "--show-toplevel"],
@@ -76,6 +88,68 @@ def build(tree, build_dir):
     env = dict(os.environ, CARGO_TARGET_DIR=build_dir)
     return subprocess.run([sys.executable, "-c", code], cwd=tree, env=env,
                           stdout=sys.stderr).returncode == 0
+
+
+def build_bench(tree, build_dir, target):
+    """Configure the tree in Release and build one bench/ target; returns its path or None."""
+    steps = [["cmake", "-S", tree, "-B", build_dir, "-DCMAKE_BUILD_TYPE=Release"],
+             ["cmake", "--build", build_dir, "--target", target, "-j", str(os.cpu_count() or 1)]]
+    for cmd in steps:
+        if subprocess.run(cmd, stdout=sys.stderr, stderr=sys.stderr).returncode != 0:
+            return None
+    return os.path.join(build_dir, "bench", target)
+
+
+def run_bench(tree, binary):
+    """One run of a bench binary; returns (wall seconds, stdout minus the build lines, error)."""
+    start = time.monotonic()
+    proc = subprocess.run([binary], cwd=tree, stdout=subprocess.PIPE,
+                          stderr=subprocess.DEVNULL, text=True)
+    wall = time.monotonic() - start
+    out = "".join(line for line in proc.stdout.splitlines(keepends=True)
+                  if not line.startswith('  "build": '))
+    return wall, out, None if proc.returncode == 0 else "exit %d" % proc.returncode
+
+
+def ab_bench(args, trees, workdir):
+    """The --bench mode of main(); returns the exit code."""
+    binaries = {}
+    for side in SIDES:
+        build_dir = os.path.join(workdir, side + "-bench")
+        print("ab: building %s %s in %s" % (side, args.bench, build_dir), file=sys.stderr)
+        binaries[side] = build_bench(trees[side], build_dir, args.bench)
+        if binaries[side] is None:
+            print("ab: %s build failed" % side, file=sys.stderr)
+            return 2
+    walls = {side: [] for side in SIDES}
+    failures = 0
+    identical = 0
+    for i in range(args.pairs):
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        outs = {}
+        for side in order:
+            wall, outs[side], err = run_bench(trees[side], binaries[side])
+            walls[side].append(wall)
+            if err:
+                failures += 1
+            print("pair %d %-6s wall=%.2f s%s" % (i, side, wall, " FAILED: " + err if err else ""),
+                  flush=True)
+        same = outs["base"] == outs["change"]
+        identical += same
+        print("pair %d stdout %s" % (i, "identical" if same else "DIFFERS"), flush=True)
+
+    print("\n%s: %d pairs, base %s" % (args.bench, args.pairs, args.base or args.base_tree))
+    b1, bmed, b3 = quartiles(walls["base"])
+    c1, cmed, c3 = quartiles(walls["change"])
+    wins = sum(1 for b, c in zip(walls["base"], walls["change"]) if c < b)
+    print("wall_s  base %s [%s, %s]  change %s [%s, %s]  (%+.1f%%)  wins %d/%d" % (
+        fmt(bmed), fmt(b1), fmt(b3), fmt(cmed), fmt(c1), fmt(c3), 100 * (cmed - bmed) / bmed,
+        wins, args.pairs))
+    print("stdout identical in %d/%d pairs" % (identical, args.pairs))
+    if failures:
+        print("\nab: %d run(s) failed" % failures)
+        return 1
+    return 0
 
 
 def run_once(tree, build_dir, workload, seed, seconds, trace):
@@ -160,7 +234,9 @@ def main():
     base = ap.add_mutually_exclusive_group(required=True)
     base.add_argument("--base", help="base commit (for example HEAD~1)")
     base.add_argument("--base-tree", help="an existing checkout of the base")
-    ap.add_argument("--workload", required=True)
+    target = ap.add_mutually_exclusive_group(required=True)
+    target.add_argument("--workload", help="a perfbench workload of BENCHMARK.json")
+    target.add_argument("--bench", help="a bench/ CMake target, e.g. bench_fig13_grep_cdf_nfs")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=101, help="seed of the first pair")
     ap.add_argument("--seconds", type=float, default=None,
@@ -172,7 +248,7 @@ def main():
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         bench = json.load(f)
     names = [w["name"] for w in bench["workloads"]]
-    if args.workload not in names:
+    if args.workload is not None and args.workload not in names:
         print("ab: unknown workload %r (BENCHMARK.json has %s)" % (args.workload, names),
               file=sys.stderr)
         return 2
@@ -187,6 +263,8 @@ def main():
         if err:
             print("ab: cannot check out %s: %s" % (args.base, err), file=sys.stderr)
             return 2
+        if args.bench:
+            return ab_bench(args, trees, workdir)
         for side in SIDES:
             print("ab: building %s perfbench in %s" % (side, builds[side]), file=sys.stderr)
             if not build(trees[side], builds[side]):

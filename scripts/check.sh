@@ -46,10 +46,11 @@ echo "==== figure goldens: wc / grep / fimhisto / fimgbin / CD-ROM faults figure
 # through the engine. The build metadata line (compiler, flags, git sha,
 # host) is dropped before comparing. fig09 runs at 24 and 48 MB; wc, fimhisto
 # and fimgbin again at 8 and 48 MB (`*.48.txt`); grep -q at 8 and 64 MB
-# (`*.64.txt`; at 48 MB it gains only 1.06x). One size sits on each side of
-# the 40 MiB cache: above it, pick order matters, so these pin the fault
-# reduction and the speedup SLEDs buy, and the FITS apps' SLEDs runs that
-# start mid-row.
+# (`*.64.txt`; at 48 MB it gains only 1.06x); fig10's grep -n at 24 and 48 MB
+# (`*.48.txt`). One size sits on each side of the 40 MiB cache: above it,
+# pick order matters, so these pin the fault reduction and the speedup SLEDs
+# buy, and the FITS apps' SLEDs runs that start mid-row. fig13 runs at its
+# default (fifty grep -q runs per mode on a 64 MB file) and pins both CDFs.
 # Refresh after an intentional model change with:
 #   for b in fig07_08_wc_nfs fig11_12_grep_first_ext2 fig14_fimhisto fig15_fimgbin; do
 #     SLEDS_BENCH_MAX_MB=8 ./build/bench/bench_$b 2>/dev/null |
@@ -64,6 +65,10 @@ echo "==== figure goldens: wc / grep / fimhisto / fimgbin / CD-ROM faults figure
 #       sed '/^  "build": /d' > bench/golden/bench_$b.48.txt; done
 #   SLEDS_BENCH_MAX_MB=64 SLEDS_BENCH_STEP_MB=56 ./build/bench/bench_fig11_12_grep_first_ext2 \
 #     2>/dev/null | sed '/^  "build": /d' > bench/golden/bench_fig11_12_grep_first_ext2.64.txt
+#   SLEDS_BENCH_MAX_MB=48 SLEDS_BENCH_STEP_MB=24 ./build/bench/bench_fig10_grep_all_cdrom \
+#     2>/dev/null | sed '/^  "build": /d' > bench/golden/bench_fig10_grep_all_cdrom.48.txt
+#   ./build/bench/bench_fig13_grep_cdf_nfs 2>/dev/null |
+#     sed '/^  "build": /d' > bench/golden/bench_fig13_grep_cdf_nfs.txt
 #   ./build/bench/bench_ext_estimate_accuracy 2>/dev/null |
 #     sed '/^  "build": /d' > bench/golden/bench_ext_estimate_accuracy.txt
 for b in fig07_08_wc_nfs fig11_12_grep_first_ext2 fig14_fimhisto fig15_fimgbin; do
@@ -82,6 +87,10 @@ for b in fig07_08_wc_nfs fig14_fimhisto fig15_fimgbin; do
 done
 SLEDS_BENCH_MAX_MB=64 SLEDS_BENCH_STEP_MB=56 ./build/bench/bench_fig11_12_grep_first_ext2 2>/dev/null |
   sed '/^  "build": /d' | diff -u bench/golden/bench_fig11_12_grep_first_ext2.64.txt -
+SLEDS_BENCH_MAX_MB=48 SLEDS_BENCH_STEP_MB=24 ./build/bench/bench_fig10_grep_all_cdrom 2>/dev/null |
+  sed '/^  "build": /d' | diff -u bench/golden/bench_fig10_grep_all_cdrom.48.txt -
+./build/bench/bench_fig13_grep_cdf_nfs 2>/dev/null | sed '/^  "build": /d' |
+  diff -u bench/golden/bench_fig13_grep_cdf_nfs.txt -
 
 echo "==== fault bench: graceful degradation sweep ===="
 # Fails the gate on crash or hang; BENCH_fault.json shows bounded retries and

@@ -8,32 +8,13 @@
 
 namespace sled {
 
-HorspoolSearcher::HorspoolSearcher(std::string_view needle) : needle_(needle) {
-  shift_.fill(needle.size());
-  for (size_t i = 0; i + 1 < needle.size(); ++i) {
-    shift_[static_cast<uint8_t>(needle[i])] = needle.size() - 1 - i;
-  }
-}
-
-size_t HorspoolSearcher::Find(std::string_view haystack, size_t from) const {
-  const size_t n = needle_.size();
-  if (n == 0) {
-    return std::string_view::npos;
-  }
-  for (size_t pos = from; pos + n <= haystack.size();
-       pos += shift_[static_cast<uint8_t>(haystack[pos + n - 1])]) {
-    if (haystack.compare(pos, n, needle_) == 0) {
-      return pos;
-    }
-  }
-  return std::string_view::npos;
-}
-
 std::vector<size_t> HorspoolSearchAll(std::string_view haystack, std::string_view needle) {
   std::vector<size_t> hits;
-  const HorspoolSearcher searcher(needle);
-  for (size_t pos = searcher.Find(haystack); pos != std::string_view::npos;
-       pos = searcher.Find(haystack, pos + 1)) {
+  if (needle.empty()) {
+    return hits;
+  }
+  for (size_t pos = haystack.find(needle); pos != std::string_view::npos;
+       pos = haystack.find(needle, pos + 1)) {
     hits.push_back(pos);
   }
   return hits;
@@ -41,14 +22,36 @@ std::vector<size_t> HorspoolSearchAll(std::string_view haystack, std::string_vie
 
 namespace {
 
-// Per contiguous-run line scanner: assembles complete lines from chunks that
-// arrive in order, searches them, and records matches with enough local
-// context to reconstruct global line numbers later.
+constexpr size_t kNewlineBlock = 64;
+
+// '\n' bytes in `text`. As in wc's CountWcBlock, the inner loop has a fixed
+// trip count and a uint8_t sum one block cannot overflow, so the compiler
+// vectorizes it at the baseline ISA; std::count stays scalar.
+int64_t CountNewlines(std::string_view text) {
+  int64_t total = 0;
+  size_t at = 0;
+  for (; at + kNewlineBlock <= text.size(); at += kNewlineBlock) {
+    uint8_t block = 0;
+    for (size_t i = 0; i < kNewlineBlock; ++i) {
+      block += text[at + i] == '\n';
+    }
+    total += block;
+  }
+  for (; at < text.size(); ++at) {
+    total += text[at] == '\n';
+  }
+  return total;
+}
+
+// Per contiguous-run line scanner: takes the run's chunks in order, searches
+// each once, and records matches with enough local context to reconstruct
+// global line numbers later. Lines between hits are skipped in bulk; only a
+// hit line and a line owed -A context go through the per-line body.
 class RunScanner {
  public:
   RunScanner(std::string_view pattern, const GrepOptions& options,
              std::vector<GrepMatch>* matches)
-      : searcher_(pattern), options_(options), matches_(matches) {}
+      : pattern_(pattern), options_(options), matches_(matches) {}
 
   // Begin a new contiguous run at `offset`. Flushes nothing: callers must
   // FinishRun() first.
@@ -56,37 +59,44 @@ class RunScanner {
     run_start_ = offset;
     next_offset_ = offset;
     pending_.clear();
-    pending_start_ = offset;
-    local_newlines_ = 0;
-    run_newlines_ = 0;
+    newlines_ = 0;
     before_buf_.clear();
     after_pending_.clear();
   }
 
   int64_t next_offset() const { return next_offset_; }
 
-  // Feed the next chunk of the run; returns true if -q satisfied.
+  // Feed the next chunk of the run; returns true if -q satisfied. The chunk is
+  // scanned in place; only its trailing partial line is carried.
   bool Feed(std::string_view data) {
-    pending_ += data;
+    const int64_t offset = next_offset_;
     next_offset_ += static_cast<int64_t>(data.size());
-    // Process complete lines (up to the last newline).
-    const size_t last_nl = pending_.rfind('\n');
-    if (last_nl == std::string::npos) {
+    const size_t last_nl = data.rfind('\n');
+    if (last_nl == std::string_view::npos) {
+      pending_ += data;
       return false;
     }
-    const bool done = ScanLines(std::string_view(pending_).substr(0, last_nl + 1));
-    pending_.erase(0, last_nl + 1);
-    pending_start_ += static_cast<int64_t>(last_nl + 1);
+    size_t from = 0;
+    if (!pending_.empty()) {
+      // The carried line ends in this chunk: complete it and scan it alone.
+      const int64_t start = offset - static_cast<int64_t>(pending_.size());
+      from = data.find('\n') + 1;
+      pending_ += data.substr(0, from);
+      if (ScanLines(pending_, start)) {
+        return true;
+      }
+    }
+    const bool done = ScanLines(data.substr(from, last_nl + 1 - from),
+                                offset + static_cast<int64_t>(from));
+    pending_.assign(data.substr(last_nl + 1));
     return done;
   }
 
   // End of run: the remainder (no trailing newline) is still a line.
   bool FinishRun() {
-    if (pending_.empty()) {
-      return false;
-    }
-    const bool done = ScanLines(pending_);
-    pending_start_ += static_cast<int64_t>(pending_.size());
+    const bool done =
+        !pending_.empty() &&
+        ScanLine(pending_, next_offset_ - static_cast<int64_t>(pending_.size()));
     pending_.clear();
     return done;
   }
@@ -97,74 +107,101 @@ class RunScanner {
     int64_t length = 0;
     int64_t newlines = 0;
   };
-  RunInfo TakeRunInfo() const { return {run_start_, next_offset_ - run_start_, run_newlines_}; }
-  void ResetRunNewlines() { run_newlines_ = 0; }
+  RunInfo TakeRunInfo() const { return {run_start_, next_offset_ - run_start_, newlines_}; }
 
  private:
-  // Scan whole lines in `text` (which starts at pending_start_).
-  bool ScanLines(std::string_view text) {
-    size_t line_start = 0;
-    while (line_start < text.size()) {
-      size_t line_end = text.find('\n', line_start);
-      size_t next = 0;
-      if (line_end == std::string_view::npos) {
-        line_end = text.size();
-        next = line_end;
-      } else {
-        next = line_end + 1;
-      }
-      const std::string_view line = text.substr(line_start, line_end - line_start);
-      // Feed -A context of earlier matches in this run.
-      if (!after_pending_.empty()) {
-        for (auto it = after_pending_.begin(); it != after_pending_.end();) {
-          (*matches_)[it->first].after.emplace_back(line);
-          if (--it->second == 0) {
-            it = after_pending_.erase(it);
-          } else {
-            ++it;
-          }
+  // Scan `text`, whole lines that each end in '\n', starting at file offset
+  // `base`. The pattern holds no '\n', so every hit lies inside one line.
+  bool ScanLines(std::string_view text, int64_t base) {
+    size_t pos = 0;
+    while (pos < text.size()) {
+      size_t line_start = pos;
+      if (after_pending_.empty()) {
+        const size_t hit = text.find(pattern_, pos);
+        if (hit == std::string_view::npos) {
+          Skip(text.substr(pos));
+          return false;
         }
+        const size_t nl = text.rfind('\n', hit);
+        line_start = nl == std::string_view::npos ? 0 : nl + 1;
+        Skip(text.substr(pos, line_start - pos));
       }
-      if (searcher_.Find(line) != std::string_view::npos) {
-        GrepMatch m;
-        m.line_offset = pending_start_ + static_cast<int64_t>(line_start);
-        // Local line index within this run; converted to a global number
-        // after all runs are merged.
-        m.line_number = local_newlines_;
-        m.line = std::string(line);
-        m.before.assign(before_buf_.begin(), before_buf_.end());
-        matches_->push_back(std::move(m));
-        if (options_.quiet_first_match) {
-          return true;
-        }
-        if (options_.after_context > 0) {
-          after_pending_.emplace_back(matches_->size() - 1, options_.after_context);
-        }
+      const size_t line_end = text.find('\n', line_start);
+      if (ScanLine(text.substr(line_start, line_end - line_start),
+                   base + static_cast<int64_t>(line_start))) {
+        return true;
       }
-      if (options_.before_context > 0) {
-        before_buf_.emplace_back(line);
-        while (static_cast<int>(before_buf_.size()) > options_.before_context) {
-          before_buf_.pop_front();
-        }
-      }
-      if (line_end < text.size()) {
-        ++local_newlines_;
-        ++run_newlines_;
-      }
-      line_start = next;
+      ++newlines_;
+      pos = line_end + 1;
     }
     return false;
   }
 
-  HorspoolSearcher searcher_;
+  // Pass over `span`, whole lines with no hit that each end in '\n': count
+  // them for -n, the only reader of the count, and keep the last -B of them.
+  void Skip(std::string_view span) {
+    if (options_.line_numbers) {
+      newlines_ += CountNewlines(span);
+    }
+    size_t from = span.size();
+    for (int i = 0; i < options_.before_context && from > 0; ++i) {
+      const size_t nl = from >= 2 ? span.rfind('\n', from - 2) : std::string_view::npos;
+      from = nl == std::string_view::npos ? 0 : nl + 1;
+    }
+    while (from < span.size()) {
+      const size_t nl = span.find('\n', from);
+      PushBefore(span.substr(from, nl - from));
+      from = nl + 1;
+    }
+  }
+
+  // The per-line body: -A context owed to earlier matches, the search, the
+  // -B window. Callers count the line's newline.
+  bool ScanLine(std::string_view line, int64_t offset) {
+    for (auto it = after_pending_.begin(); it != after_pending_.end();) {
+      (*matches_)[it->first].after.emplace_back(line);
+      if (--it->second == 0) {
+        it = after_pending_.erase(it);
+      } else {
+        ++it;
+      }
+    }
+    if (line.find(pattern_) != std::string_view::npos) {
+      GrepMatch m;
+      m.line_offset = offset;
+      // Local line index within this run; converted to a global number
+      // after all runs are merged.
+      m.line_number = newlines_;
+      m.line = std::string(line);
+      m.before.assign(before_buf_.begin(), before_buf_.end());
+      matches_->push_back(std::move(m));
+      if (options_.quiet_first_match) {
+        return true;
+      }
+      if (options_.after_context > 0) {
+        after_pending_.emplace_back(matches_->size() - 1, options_.after_context);
+      }
+    }
+    PushBefore(line);
+    return false;
+  }
+
+  void PushBefore(std::string_view line) {
+    if (options_.before_context > 0) {
+      before_buf_.emplace_back(line);
+      while (static_cast<int>(before_buf_.size()) > options_.before_context) {
+        before_buf_.pop_front();
+      }
+    }
+  }
+
+  std::string_view pattern_;
   const GrepOptions& options_;
   std::vector<GrepMatch>* matches_;
   int64_t run_start_ = 0;
   int64_t next_offset_ = 0;
-  std::string pending_;
-  int64_t pending_start_ = 0;
-  int64_t local_newlines_ = 0;  // newlines seen before the current line
-  int64_t run_newlines_ = 0;
+  std::string pending_;  // the run's trailing partial line
+  int64_t newlines_ = 0;  // newlines before the current line, exact under -n
   std::deque<std::string> before_buf_;                    // last -B lines
   std::vector<std::pair<size_t, int>> after_pending_;     // match idx, lines left
 };
@@ -173,7 +210,8 @@ class RunScanner {
 
 Result<GrepResult> GrepApp::Run(SimKernel& kernel, Process& process, std::string_view path,
                                 std::string_view pattern, const GrepOptions& options) {
-  if (pattern.empty()) {
+  if (pattern.empty() || pattern.find('\n') != std::string_view::npos ||
+      options.buffer_bytes <= 0) {
     return Err::kInval;
   }
   if (options.kernel_program) {

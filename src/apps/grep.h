@@ -13,7 +13,6 @@
 #ifndef SLEDS_SRC_APPS_GREP_H_
 #define SLEDS_SRC_APPS_GREP_H_
 
-#include <array>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -63,27 +62,16 @@ struct GrepResult {
 
 class GrepApp {
  public:
+  // kInval for an empty pattern, a pattern that holds '\n' (a line never
+  // does, so it could only match across lines) or buffer_bytes <= 0.
   static Result<GrepResult> Run(SimKernel& kernel, Process& process, std::string_view path,
                                 std::string_view pattern, const GrepOptions& options);
 };
 
-// Boyer-Moore-Horspool search for one needle. The shift table is built once,
-// here, so a scan over many lines keeps one searcher. The needle's bytes must
-// outlive the searcher.
-class HorspoolSearcher {
- public:
-  explicit HorspoolSearcher(std::string_view needle);
-
-  // Position of the first occurrence at or after `from`, or npos. An empty
-  // needle matches nothing.
-  size_t Find(std::string_view haystack, size_t from = 0) const;
-
- private:
-  std::string_view needle_;
-  std::array<size_t, 256> shift_;
-};
-
-// Every match position of `needle` in `haystack`, overlapping ones included.
+// Every match position of `needle` in `haystack`, overlapping ones included;
+// an empty needle matches nothing. It runs std::string_view::find, the one
+// search grep's scanners and the kFindFirst program share, and keeps the
+// Horspool name because perfbench's apps.horspool_ns_per_byte probe calls it.
 std::vector<size_t> HorspoolSearchAll(std::string_view haystack, std::string_view needle);
 
 }  // namespace sled

@@ -51,6 +51,9 @@ Result<std::string_view> FetchChunk(SimKernel& kernel, Process& process, int fd,
 
 Result<WcResult> WcApp::Run(SimKernel& kernel, Process& process, std::string_view path,
                             const WcOptions& options) {
+  if (options.buffer_bytes <= 0) {
+    return Err::kInval;
+  }
   if (options.kernel_program) {
     // Completion-program variant: the kernel runs the whole count at I/O
     // completion and returns three counters — no per-buffer crossings, no

@@ -42,6 +42,7 @@ struct WcOptions {
 
 class WcApp {
  public:
+  // kInval for buffer_bytes <= 0.
   static Result<WcResult> Run(SimKernel& kernel, Process& process, std::string_view path,
                               const WcOptions& options);
 };

@@ -94,6 +94,23 @@ TEST(WcAppTest, MissingFile) {
   EXPECT_EQ(WcApp::Run(*w.kernel, *w.proc, "/nope", WcOptions{}).error(), Err::kNoEnt);
 }
 
+// A buffer of no bytes is refused in every mode, before the file is opened:
+// a plain read of 0 bytes reads as end of file, so it would count nothing.
+TEST(WcAppTest, NonPositiveBufferIsInvalid) {
+  World w = MakeWorld();
+  WriteFile(*w.kernel, *w.proc, "/f.txt", "one two\nthree\n");
+  for (const int64_t buffer : {int64_t{0}, int64_t{-1}}) {
+    for (int mode = 0; mode < 3; ++mode) {
+      WcOptions options;
+      options.buffer_bytes = buffer;
+      options.use_sleds = mode == 1;
+      options.kernel_program = mode == 2;
+      EXPECT_EQ(WcApp::Run(*w.kernel, *w.proc, "/f.txt", options).error(), Err::kInval)
+          << "buffer " << buffer << " mode " << mode;
+    }
+  }
+}
+
 // Property: wc with and without SLEDs agree on random text, across chunk
 // sizes that force words to span chunk seams, with a partially cached file.
 class WcPropertyTest : public ::testing::TestWithParam<std::tuple<int64_t, uint64_t>> {};
@@ -249,7 +266,29 @@ TEST(GrepAppTest, NoMatch) {
                                     GrepOptions{}).value();
   EXPECT_FALSE(r.found);
   EXPECT_TRUE(r.matches.empty());
-  EXPECT_EQ(GrepApp::Run(*w.kernel, *w.proc, "/f.txt", "", GrepOptions{}).error(), Err::kInval);
+}
+
+// Refused in every mode: an empty pattern; a pattern that holds '\n', which
+// could only match across lines (plain and SLEDs grep search line by line but
+// the kFindFirst program searches bytes, so their answers would differ); and
+// a buffer of no bytes, as for wc.
+TEST(GrepAppTest, InvalidInputInEveryMode) {
+  World w = MakeWorld();
+  WriteFile(*w.kernel, *w.proc, "/f.txt", "hello abc\ndef world\n");
+  const std::pair<std::string_view, int64_t> cases[] = {
+      {"", kDefaultAppBuffer}, {"abc\ndef", kDefaultAppBuffer}, {"abc", 0}, {"abc", -1}};
+  for (const auto& [pattern, buffer] : cases) {
+    for (int mode = 0; mode < 3; ++mode) {
+      GrepOptions options;
+      options.quiet_first_match = true;
+      options.buffer_bytes = buffer;
+      options.use_sleds = mode == 1;
+      options.kernel_program = mode == 2;
+      EXPECT_EQ(GrepApp::Run(*w.kernel, *w.proc, "/f.txt", pattern, options).error(),
+                Err::kInval)
+          << "pattern size " << pattern.size() << " buffer " << buffer << " mode " << mode;
+    }
+  }
 }
 
 TEST(GrepAppTest, MatchSpanningChunkSeamWithinRun) {
@@ -266,6 +305,108 @@ TEST(GrepAppTest, MatchSpanningChunkSeamWithinRun) {
   ASSERT_TRUE(r.found);
   ASSERT_EQ(r.matches.size(), 1u);
   EXPECT_EQ(r.matches[0].line_offset, 0);
+}
+
+// The grep oracle: split `data` into lines (a last line without '\n' still
+// counts) and report each line that holds `needle`, with its offset, its
+// number under -n and its -B/-A context clamped at the file's edges.
+std::vector<GrepMatch> NaiveGrep(std::string_view data, std::string_view needle,
+                                 const GrepOptions& options) {
+  std::vector<std::string_view> lines;
+  std::vector<int64_t> starts;
+  for (size_t at = 0; at < data.size();) {
+    const size_t end = std::min(data.find('\n', at), data.size());
+    starts.push_back(static_cast<int64_t>(at));
+    lines.push_back(data.substr(at, end - at));
+    at = end + 1;
+  }
+  const auto before = static_cast<size_t>(options.before_context);
+  const auto after = static_cast<size_t>(options.after_context);
+  std::vector<GrepMatch> matches;
+  for (size_t i = 0; i < lines.size(); ++i) {
+    if (lines[i].find(needle) == std::string_view::npos) {
+      continue;
+    }
+    GrepMatch m;
+    m.line_offset = starts[i];
+    m.line_number = options.line_numbers ? static_cast<int64_t>(i) + 1 : 0;
+    m.line = std::string(lines[i]);
+    for (size_t j = i - std::min(i, before); j < i; ++j) {
+      m.before.emplace_back(lines[j]);
+    }
+    for (size_t j = i + 1; j < std::min(lines.size(), i + 1 + after); ++j) {
+      m.after.emplace_back(lines[j]);
+    }
+    matches.push_back(std::move(m));
+  }
+  return matches;
+}
+
+// Differential: grep against the line oracle on random files over small
+// alphabets, with empty lines, long lines and sometimes no final '\n'. Each
+// run draws a needle of 1-4 bytes, plain or SLEDs, a cold or partly cached
+// file, a buffer down to 1 byte and random -n/-B/-A/-q. Plain grep must give
+// the oracle's matches whole, context included; SLEDs grep cuts context at
+// its seams, so there offsets, line numbers and lines must agree.
+TEST(GrepAppTest, MatchesLineOracleOnRandomFiles) {
+  constexpr int64_t kBuffers[] = {1, 2, 3, 7, 64, 4096};
+  World w = MakeWorld();
+  Rng rng(2020);
+  for (int file = 0; file < 40; ++file) {
+    const auto letters = rng.Uniform(2, 4);
+    auto letter = [&] { return "ab c"[rng.Uniform(0, letters - 1)]; };
+    const double newline = 0.01 * static_cast<double>(rng.Uniform(1, 30));
+    std::string data;
+    const int64_t size = rng.Uniform(0, 3 * kPageSize);
+    while (static_cast<int64_t>(data.size()) < size) {
+      data.push_back(rng.Bernoulli(newline) ? '\n' : letter());
+    }
+    if (rng.Bernoulli(0.5) && !data.empty() && data.back() == '\n') {
+      data.pop_back();
+    }
+    const std::string path = "/g" + std::to_string(file);
+    WriteFile(*w.kernel, *w.proc, path, data);
+    const int64_t pages = (size + kPageSize - 1) / kPageSize;
+    for (int run = 0; run < 10; ++run) {
+      std::string needle;
+      for (int64_t i = rng.Uniform(1, 4); i > 0; --i) {
+        needle.push_back(letter());
+      }
+      GrepOptions options;
+      options.use_sleds = rng.Bernoulli(0.5);
+      options.quiet_first_match = rng.Bernoulli(0.2);
+      options.line_numbers = rng.Bernoulli(0.5);
+      options.before_context = static_cast<int>(rng.Uniform(0, 3));
+      options.after_context = static_cast<int>(rng.Uniform(0, 3));
+      options.buffer_bytes = kBuffers[rng.Uniform(0, std::ssize(kBuffers) - 1)];
+      w.kernel->DropCaches();
+      if (pages > 1 && rng.Bernoulli(0.5)) {
+        const int fd = w.kernel->Open(*w.proc, path).value();
+        char b;
+        ASSERT_TRUE(w.kernel->Lseek(*w.proc, fd, rng.Uniform(1, pages - 1) * kPageSize,
+                                    Whence::kSet).ok());
+        ASSERT_TRUE(w.kernel->Read(*w.proc, fd, std::span<char>(&b, 1)).ok());
+        ASSERT_TRUE(w.kernel->Close(*w.proc, fd).ok());
+      }
+      const std::vector<GrepMatch> expected = NaiveGrep(data, needle, options);
+      const GrepResult got = GrepApp::Run(*w.kernel, *w.proc, path, needle, options).value();
+      const std::string where = "file " + std::to_string(file) + " run " +
+                                std::to_string(run) + " needle '" + needle + "'";
+      ASSERT_EQ(got.found, !expected.empty()) << where;
+      if (options.quiet_first_match) {
+        ASSERT_TRUE(got.matches.empty()) << where;
+      } else if (!options.use_sleds) {
+        ASSERT_EQ(got.matches, expected) << where;
+      } else {
+        ASSERT_EQ(got.matches.size(), expected.size()) << where;
+        for (size_t i = 0; i < expected.size(); ++i) {
+          ASSERT_EQ(got.matches[i].line_offset, expected[i].line_offset) << where;
+          ASSERT_EQ(got.matches[i].line_number, expected[i].line_number) << where;
+          ASSERT_EQ(got.matches[i].line, expected[i].line) << where;
+        }
+      }
+    }
+  }
 }
 
 TEST(HorspoolTest, FindsAllOccurrences) {
