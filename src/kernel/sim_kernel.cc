@@ -504,8 +504,11 @@ void SimKernel::CancelFileIo(FileId fid, int64_t first_page) {
   scheduler_.CancelMatching([fid, first_page](const IoRequest& r) {
     return r.file == fid && r.first_page >= first_page;
   });
+  // A dispatched read already holds its frame, flagged in flight until it
+  // lands: keep its entry so readers still await it; HarvestArrivals drops
+  // it on arrival.
   std::erase_if(inflight_, [fid, first_page](const auto& kv) {
-    return kv.first.file == fid && kv.first.page >= first_page;
+    return kv.first.file == fid && kv.first.page >= first_page && !kv.second.dispatched;
   });
 }
 

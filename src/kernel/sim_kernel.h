@@ -296,8 +296,8 @@ class SimKernel {
   void AwaitPage(Process& p, PageKey key);
   // Clear in-flight flags for every arrival at or before the current clock.
   void HarvestArrivals();
-  // Drop queued requests and in-flight tracking for pages >= first_page of
-  // the file (truncate/unlink).
+  // Drop queued requests, and the tracking of reads not yet dispatched, for
+  // pages >= first_page of the file (truncate, unlink, a program's cancel).
   void CancelFileIo(FileId fid, int64_t first_page);
 
   // Shared FSLEDS_GET body: charge the scan, build the SLED vector for pages

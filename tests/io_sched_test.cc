@@ -293,6 +293,48 @@ TEST(IoEngineTest, TruncateCancelsQueuedRequests) {
   (void)kernel->FlushAllDirty();
 }
 
+TEST(IoEngineTest, ProgramCancelKeepsDispatchedReadsAwaited) {
+  // A find-first program that matches early cancels the readahead queued past
+  // the match. Reads the device has already dispatched own in-flight frames,
+  // so they must stay tracked: a later Read of such a page waits for its
+  // arrival instead of returning while the frame is still in flight.
+  for (IoMode mode : {IoMode::kFifoAsync, IoMode::kElevator}) {
+    SCOPED_TRACE(mode == IoMode::kElevator ? "elevator" : "fifo_async");
+    auto kernel = MakeEngineKernel(mode);
+    Process& p = kernel->CreateProcess("user");
+    std::string data(256 * kPageSize, 'a');
+    data.replace(3 * kPageSize + 100, 8, "XNEEDLEX");
+    WriteFile(*kernel, p, "/f", data);
+    kernel->DropCaches();
+    const Vfs::Resolved r = kernel->vfs().Resolve("/f").value();
+    const FileId fid = Vfs::MakeFileId(r.fs_id, r.ino);
+    const int fd = kernel->Open(p, "/f").value();
+    std::vector<char> buf(kPageSize);
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_TRUE(kernel->Read(p, fd, std::span<char>(buf.data(), buf.size())).ok());
+    }
+    ProgSpec spec;
+    spec.kind = ProgKind::kFindFirst;
+    spec.pattern = "XNEEDLEX";
+    spec.chunk_bytes = kPageSize;
+    ASSERT_TRUE(kernel->InstallProgram(p, fd, spec).ok());
+    const ProgResult result = kernel->RunProgram(p, fd).value();
+    ASSERT_TRUE(result.found);
+    ASSERT_EQ(result.match_offset, 3 * kPageSize + 100);
+    ASSERT_TRUE(kernel->Lseek(p, fd, 4 * kPageSize, Whence::kSet).ok());
+    int early_returns = 0;
+    for (int64_t page = 4; page < 256; ++page) {
+      ASSERT_EQ(kernel->Read(p, fd, std::span<char>(buf.data(), buf.size())).value(),
+                static_cast<int64_t>(kPageSize));
+      if (kernel->cache().IsInFlight({fid, page})) {
+        ++early_returns;
+      }
+    }
+    EXPECT_EQ(early_returns, 0);
+    ASSERT_TRUE(kernel->Close(p, fd).ok());
+  }
+}
+
 TEST(IoEngineTest, DefaultModeAttachesNoQueues) {
   auto kernel = MakeEngineKernel(IoMode::kFifoSync);
   EXPECT_EQ(kernel->io_mode(), IoMode::kFifoSync);
