@@ -4,16 +4,9 @@
 // "scripts and other utilities built around this concept" from the paper's
 // conclusion: the access pattern is fixed once; SLEDs adapt it to whatever
 // storage it lands on.
-// The closed-loop replay above answers "how long does the whole pattern
-// take"; the open-loop section after it replays the same recorded byte ranges
-// as request payloads under Poisson arrivals (src/openload), where the
-// question becomes "what latency distribution do concurrent clients see" —
-// p99/p999 and the offered-vs-achieved gap, numbers a closed-loop replay
-// cannot produce because it never queues.
 #include <cstdio>
 
 #include "src/common/units.h"
-#include "src/openload/engine.h"
 #include "src/workload/testbed.h"
 #include "src/workload/text_gen.h"
 #include "src/workload/trace.h"
@@ -73,37 +66,6 @@ int Main() {
       "\nOne recorded access pattern, three devices: the SLEDs re-plan converts\n"
       "the same workload to cached-first order everywhere, with the gain scaling\n"
       "by the device's cost of refetching the evicted portion.\n");
-
-  // Open-loop replay: the captured byte ranges become the request stream of
-  // concurrent Poisson clients (ArrivalPattern::kTrace) against each device.
-  const std::vector<ReadOp> ops = ExtractReadOps(trace);
-  SLED_CHECK(!ops.empty(), "trace produced no read ops");
-  std::printf("\n==== open-loop replay: %lld trace reads as concurrent request stream ====\n\n",
-              static_cast<long long>(ops.size()));
-  std::printf("%-8s %12s %12s %12s %12s %12s\n", "device", "offered", "achieved", "p50", "p99",
-              "p999");
-  for (StorageKind kind : {StorageKind::kDisk, StorageKind::kCdRom, StorageKind::kNfs}) {
-    OpenLoadConfig c;
-    c.clients = 2000;
-    c.worlds = 4;
-    c.pattern = ArrivalPattern::kTrace;
-    c.trace_ops = &ops;
-    c.kind = kind;
-    c.file_mb = kFileMb;
-    c.horizon_s = 4.0;
-    c.seed = 94;
-    const ScenarioResult r = RunOpenLoadScenario(c);
-    SLED_CHECK(r.completions > 0, "open-loop replay produced no completions");
-    std::printf("%-8s %8.0f rps %8.0f rps %9.2f ms %9.2f ms %9.2f ms\n",
-                std::string(StorageKindName(kind)).c_str(), r.offered_rps, r.achieved_rps,
-                static_cast<double>(r.latency.Quantile(0.50).nanos()) * 1e-6,
-                static_cast<double>(r.latency.Quantile(0.99).nanos()) * 1e-6,
-                static_cast<double>(r.latency.Quantile(0.999).nanos()) * 1e-6);
-  }
-  std::printf(
-      "\nSame recorded reads, open-loop: arrival rate is calibrated to the\n"
-      "device's own service capacity, so the tail percentiles isolate queueing\n"
-      "and device variance rather than raw device speed.\n");
   return 0;
 }
 

@@ -85,17 +85,17 @@ int Main() {
 
   // --- Part 2: search the library for the needle ---
   auto search = [](Library& l, bool sleds_order) -> Duration {
-    SimKernel& kernel = *l.tb.kernel;
-    Process& p = kernel.CreateProcess(sleds_order ? "search-sleds" : "search");
+    SimKernel& k = *l.tb.kernel;
+    Process& p = k.CreateProcess(sleds_order ? "search-sleds" : "search");
     std::vector<std::string> order = l.paths;
     if (sleds_order) {
       // Steere-style file-set ordering by estimated delivery time: ask the
       // SLEDs of each file (metadata only, no data I/O) and sort.
       std::vector<std::pair<double, std::string>> keyed;
       for (const std::string& path : order) {
-        const int fd = kernel.Open(p, path).value();
-        const Duration est = TotalDeliveryTime(kernel, p, fd, AttackPlan::kBest).value();
-        (void)kernel.Close(p, fd);
+        const int fd = k.Open(p, path).value();
+        const Duration est = TotalDeliveryTime(k, p, fd, AttackPlan::kBest).value();
+        (void)k.Close(p, fd);
         keyed.emplace_back(est.ToSeconds(), path);
       }
       std::sort(keyed.begin(), keyed.end());
@@ -104,17 +104,17 @@ int Main() {
         order.push_back(path);
       }
     }
-    const TimePoint t0 = kernel.clock().Now();
+    const TimePoint t0 = k.clock().Now();
     for (const std::string& path : order) {
       GrepOptions options;
       options.quiet_first_match = true;
       options.use_sleds = sleds_order;
-      auto r = GrepApp::Run(kernel, p, path, std::string(kGrepMarker), options);
+      auto r = GrepApp::Run(k, p, path, std::string(kGrepMarker), options);
       if (r.ok() && r->found) {
         break;
       }
     }
-    return kernel.clock().Now() - t0;
+    return k.clock().Now() - t0;
   };
 
   // Warm state: the needle file's tape is offline; several disk files are

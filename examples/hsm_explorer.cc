@@ -57,13 +57,15 @@ int main() {
   std::printf("\n--- find /data -latency -m100   (instantly browsable) ---\n");
   FindOptions instant;
   instant.latency = ParseLatencyPredicate("-m100").value();
-  for (const std::string& path : FindApp::Run(*tb.kernel, user, "/data", instant)->paths) {
+  const FindResult browsable = FindApp::Run(*tb.kernel, user, "/data", instant).value();
+  for (const std::string& path : browsable.paths) {
     std::printf("  %s\n", path.c_str());
   }
   std::printf("\n--- find /data -latency +60     (needs a tape mount) ---\n");
   FindOptions offline;
   offline.latency = ParseLatencyPredicate("+60").value();
-  for (const std::string& path : FindApp::Run(*tb.kernel, user, "/data", offline)->paths) {
+  const FindResult on_tape = FindApp::Run(*tb.kernel, user, "/data", offline).value();
+  for (const std::string& path : on_tape.paths) {
     std::printf("  %s\n", path.c_str());
   }
 

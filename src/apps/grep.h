@@ -27,7 +27,6 @@ struct GrepOptions {
   bool use_sleds = false;
   bool quiet_first_match = false;  // -q: stop at the first match
   bool line_numbers = false;       // -n
-  bool byte_offsets = false;       // -b
   // Context lines (-B / -A). In SLEDs mode context never crosses a SLED
   // seam: record-oriented picking aligns seams to line boundaries, and the
   // library does not fetch extra data just for context — the same

@@ -51,7 +51,7 @@ struct LatencyQuantiles {
 struct DeviceCharacteristics {
   Duration latency;
   double bandwidth_bps = 0.0;
-  LatencyQuantiles latency_q;
+  LatencyQuantiles latency_q{};
 
   // The quantile summary, degenerate at the mean when the device model did
   // not characterize its spread (memory, calibrated scalar fills).

@@ -159,7 +159,7 @@ class FaultPlan {
     TimePoint end;
     Kind kind = Kind::kDown;
     double slow_factor = 0.0;   // kSlow: service-time multiplier
-    Duration gc_stall;          // kGc: stall added to a hit op
+    Duration gc_stall{};        // kGc: stall added to a hit op
     double gc_duty = 0.0;       // kGc: fraction of ops that eat the stall
   };
 

@@ -164,7 +164,7 @@ void SimKernel::CompleteIo(const IoRequest& part, TimePoint done, bool ok) {
     if (evicted.has_value() && evicted->dirty) {
       QueueWriteback(nullptr, evicted->key);
     }
-    arrivals_.Schedule(static_cast<uint64_t>(done.since_epoch().nanos()), key);
+    arrivals_.push({done, key});
   }
   if (ok) {
     stats_.pages_paged_in += part.count;
@@ -440,15 +440,15 @@ void SimKernel::AwaitPage(Process& p, PageKey key) {
 
 void SimKernel::HarvestArrivals() {
   const TimePoint now = clock_.Now();
-  arrivals_.ExpireUpTo(static_cast<uint64_t>(now.since_epoch().nanos()),
-                       [&](uint64_t, const PageKey& key) {
-                         cache_.MarkArrived(key);
-                         auto it = inflight_.find(key);
-                         if (it != inflight_.end() && it->second.dispatched &&
-                             !(now < it->second.ready_at)) {
-                           inflight_.erase(it);
-                         }
-                       });
+  while (!arrivals_.empty() && !(now < arrivals_.top().at)) {
+    const PageKey key = arrivals_.top().key;
+    arrivals_.pop();
+    cache_.MarkArrived(key);
+    auto it = inflight_.find(key);
+    if (it != inflight_.end() && it->second.dispatched && !(now < it->second.ready_at)) {
+      inflight_.erase(it);
+    }
+  }
 }
 
 Result<int64_t> SimKernel::EnginePageIn(Process& p, const OpenFile& of, int64_t page,

@@ -7,6 +7,7 @@
 #define SLEDS_SRC_KERNEL_SIM_KERNEL_H_
 
 #include <memory>
+#include <queue>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -20,7 +21,6 @@
 #include "src/kernel/process.h"
 #include "src/kernel/sleds_table.h"
 #include "src/obs/observer.h"
-#include "src/openload/timing_wheel.h"
 #include "src/progs/program.h"
 #include "src/sleds/sled.h"
 
@@ -335,6 +335,14 @@ class SimKernel {
     TimePoint ready_at;
     bool dispatched = false;
   };
+  // When a dispatched read page lands; `arrivals_` keeps the earliest on top.
+  struct Arrival {
+    TimePoint at;
+    PageKey key;
+  };
+  struct LaterArrival {
+    bool operator()(const Arrival& a, const Arrival& b) const { return b.at < a.at; }
+  };
   // One queued dirty page (synchronous-writeback mode). A failed flush
   // re-queues its pages with attempts+1 and a backoff deadline; pages past
   // fault.max_writeback_attempts count as lost.
@@ -364,13 +372,10 @@ class SimKernel {
   std::vector<std::unique_ptr<Process>> processes_;
   std::vector<WritebackEntry> writeback_queue_;
   std::unordered_map<PageKey, InFlightPage, PageKeyHash> inflight_;
-  // Pending page arrivals (completion time -> page), on the hierarchical
-  // timing wheel shared with the open-loop engine. Completions are enqueued
-  // at or after the previous harvest time and harvested per-key with
-  // order-independent actions, so replacing the old binary heap keeps every
-  // simulated outcome byte-identical while making enqueue/harvest O(1)
-  // amortized instead of O(log n).
-  TimingWheel<PageKey> arrivals_;
+  // Pending page arrivals, earliest on top: one per dispatched read page.
+  // A harvest pops every arrival due at one clock reading, and its per-page
+  // actions commute, so arrivals due at the same time need no tie order.
+  std::priority_queue<Arrival, std::vector<Arrival>, LaterArrival> arrivals_;
   // Armed by Fsync to collect its requests' completions (time + success);
   // while armed, CompleteIo leaves write-failure handling to Fsync instead of
   // auto-resubmitting.

@@ -122,14 +122,6 @@ void MetricRegistry::Observe(std::string_view histogram, Duration d) {
   it->second.Record(d);
 }
 
-void MetricRegistry::MergeHistogram(std::string_view histogram, const LatencyHistogram& h) {
-  auto it = histograms_.find(histogram);
-  if (it == histograms_.end()) {
-    it = histograms_.emplace(std::string(histogram), LatencyHistogram{}).first;
-  }
-  it->second.MergeFrom(h);
-}
-
 void MetricRegistry::MergeFrom(const MetricRegistry& other) {
   for (const auto& [name, value] : other.counters_) {
     Add(name, value);

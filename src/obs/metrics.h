@@ -54,10 +54,6 @@ class LatencyHistogram {
   // Raw bucket counts (CDF export walks the occupied buckets directly).
   const std::array<int64_t, kNumBuckets>& buckets() const { return buckets_; }
 
-  // Bucket-wise equality: what the open-loop engine's wheel-vs-heap and
-  // shard-count identity assertions compare.
-  bool operator==(const LatencyHistogram&) const = default;
-
  private:
   std::array<int64_t, kNumBuckets> buckets_{};
   int64_t count_ = 0;
@@ -73,9 +69,6 @@ class MetricRegistry {
  public:
   void Add(std::string_view counter, int64_t delta = 1);
   void Observe(std::string_view histogram, Duration d);
-  // Fold a whole recorded histogram in at once (per-world histograms merging
-  // into a shard accumulator without replaying every sample).
-  void MergeHistogram(std::string_view histogram, const LatencyHistogram& h);
   // Last-value gauge ("io.disk.depth"). Exported in a separate JSON section
   // that is omitted entirely while no gauge exists, so subsystems that never
   // set one keep their exports byte-identical.
