@@ -1,27 +1,32 @@
 // Microbenchmarks for the SLEDs hot paths: cache ops, kernel SLED scans,
 // picker stepping, wc's count, grep's search, random draws and text
-// generation, the FITS pixel and row codecs, and the histogram loops.
+// generation, the FITS pixel and row codecs, the histogram loops and
+// fimgbin's boxcar.
 // These bound the CPU overhead the SLEDs machinery adds per I/O.
 //
 // Two layers:
 //  * A wall-clock suite (std::chrono, real time — NOT the simulated clock)
 //    that pits the run-indexed page cache against naive page-at-a-time
-//    replicas of the old algorithms and emits a BENCH_micro.json block.
+//    replicas of the old algorithms, and the FITS row kernels against
+//    one-value-at-a-time replicas, and emits a BENCH_micro.json block.
 //  * The google-benchmark registrations, run afterwards.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <random>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "src/apps/fimgbin.h"
 #include "src/apps/grep.h"
 #include "src/cache/page_cache.h"
 #include "src/common/log.h"
@@ -291,20 +296,43 @@ void BM_HistogramMinMax(benchmark::State& state) {
 }
 BENCHMARK(BM_HistogramMinMax);
 
-// fimhisto's pass 3 and the kHistogram program's binning phase, 64 bins.
+// fimhisto's pass 3 and the kHistogram program's binning phase, 64 bins, in
+// calls of the argument's length: 16 Ki is an app run, 2048 the program's
+// decode block, and 512 shows what the per-call zeroing and merging of the
+// partial counts cost a short call.
 void BM_HistogramBin(benchmark::State& state) {
   const std::vector<double> pixels = RunPixels();
+  const auto call = static_cast<size_t>(state.range(0));
   const auto [lo, hi] = std::minmax_element(pixels.begin(), pixels.end());
   std::vector<int64_t> bins(64, 0);
   const double width = (*hi - *lo) / static_cast<double>(bins.size());
   for (auto _ : state) {
-    HistogramBin(pixels, *lo, width, bins);
+    for (size_t at = 0; at < pixels.size(); at += call) {
+      HistogramBin(std::span<const double>(pixels).subspan(at, std::min(call, pixels.size() - at)),
+                   *lo, width, bins);
+    }
     benchmark::DoNotOptimize(bins.data());
     benchmark::ClobberMemory();
   }
   SetNsPer(state, "pixel", pixels.size());
 }
-BENCHMARK(BM_HistogramBin);
+BENCHMARK(BM_HistogramBin)->Arg(512)->Arg(2048)->Arg(16 * 1024);
+
+// fimgbin's boxcar over one run of 16 Ki pixels, a 128-pixel-wide image, for
+// the argument's box.
+void BM_FimgbinAccumulate(benchmark::State& state) {
+  constexpr int64_t kWidth = 128;
+  const std::vector<double> pixels = RunPixels();
+  const int64_t box = state.range(0);
+  std::vector<double> sums(pixels.size() / static_cast<size_t>(box * box), 0.0);
+  for (auto _ : state) {
+    FimgbinAccumulate(0, pixels, kWidth, box, sums);
+    benchmark::DoNotOptimize(sums.data());
+    benchmark::ClobberMemory();
+  }
+  SetNsPer(state, "pixel", pixels.size());
+}
+BENCHMARK(BM_FimgbinAccumulate)->Arg(2)->Arg(4);
 
 void BM_KernelCachedRead(benchmark::State& state) {
   KernelFixture fx(256);
@@ -395,6 +423,118 @@ struct MicroResult {
   double indexed_us = 0;
   double speedup() const { return indexed_us > 0 ? naive_us / indexed_us : 0; }
 };
+
+// Replicas of the scalar row kernels, one value at a time and in order: the
+// FITS decode as FitsDecodePixel calls, and HistogramMinMax's and
+// HistogramBin's former loops.
+void NaiveDecodeRow(const char* in, int bitpix, std::span<double> out) {
+  const int64_t elem = ProgElementSize(bitpix);
+  for (size_t i = 0; i < out.size(); ++i) {
+    out[i] = FitsDecodePixel(in + static_cast<int64_t>(i) * elem, bitpix);
+  }
+}
+
+void NaiveMinMax(std::span<const double> values, double* lo, double* hi) {
+  for (const double v : values) {
+    *lo = std::min(*lo, v);
+    *hi = std::max(*hi, v);
+  }
+}
+
+void NaiveBin(std::span<const double> values, double lo, double width, std::span<int64_t> bins) {
+  const int last = static_cast<int>(bins.size()) - 1;
+  for (const double v : values) {
+    const double q = (v - lo) / width;
+    const int bin =
+        q > -2147483649.0 && q < 2147483648.0 ? std::clamp(static_cast<int>(q), 0, last) : 0;
+    ++bins[static_cast<size_t>(bin)];
+  }
+}
+
+// Best-of-100 wall time of 16 calls each of `naive` and `kernel`, their
+// samples interleaved so that a slow spell of the host meets both.
+template <typename Naive, typename Kernel>
+MicroResult PairedBest(Naive&& naive, Kernel&& kernel) {
+  constexpr int kSamples = 100;
+  constexpr int kCalls = 16;
+  auto calls = [](auto&& f) {
+    return [&f] {
+      for (int c = 0; c < kCalls; ++c) {
+        f();
+      }
+    };
+  };
+  MicroResult r{.naive_us = std::numeric_limits<double>::infinity(),
+                .indexed_us = std::numeric_limits<double>::infinity()};
+  for (int s = 0; s < kSamples; ++s) {
+    r.naive_us = std::min(r.naive_us, BestWallMicros(1, calls(naive)));
+    r.indexed_us = std::min(r.indexed_us, BestWallMicros(1, calls(kernel)));
+  }
+  return r;
+}
+
+// Each kernel against its replica over one 16 Ki-pixel run (RunPixels,
+// BITPIX -32), after checking that both give the same bits.
+struct KernelResults {
+  MicroResult decode;
+  MicroResult minmax;
+  MicroResult bin;
+};
+
+KernelResults MeasureRowKernels() {
+  const std::vector<double> pixels = RunPixels();
+  std::vector<char> bytes(pixels.size() * 4);
+  FitsEncodeRow(pixels, -32, bytes.data());
+  std::vector<double> naive_out(pixels.size());
+  std::vector<double> out(pixels.size());
+  NaiveDecodeRow(bytes.data(), -32, naive_out);
+  FitsDecodeRow(bytes.data(), -32, out);
+  SLED_CHECK(std::memcmp(naive_out.data(), out.data(), out.size() * sizeof(double)) == 0,
+             "row decode mismatch");
+  KernelResults r;
+  r.decode = PairedBest(
+      [&] {
+        NaiveDecodeRow(bytes.data(), -32, naive_out);
+        benchmark::DoNotOptimize(naive_out.data());
+        benchmark::ClobberMemory();
+      },
+      [&] {
+        FitsDecodeRow(bytes.data(), -32, out);
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
+      });
+
+  const double inf = std::numeric_limits<double>::infinity();
+  auto min_max = [&](auto&& fold) {
+    double lo = inf;
+    double hi = -inf;
+    fold(std::span<const double>(out), &lo, &hi);
+    return std::pair{lo, hi};
+  };
+  SLED_CHECK(min_max(NaiveMinMax) == min_max(HistogramMinMax), "min/max mismatch");
+  r.minmax = PairedBest([&] { benchmark::DoNotOptimize(min_max(NaiveMinMax)); },
+                        [&] { benchmark::DoNotOptimize(min_max(HistogramMinMax)); });
+
+  const auto [lo, hi] = min_max(HistogramMinMax);
+  const double width = (hi - lo) / 64;
+  std::vector<int64_t> naive_bins(64, 0);
+  std::vector<int64_t> bins(64, 0);
+  NaiveBin(out, lo, width, naive_bins);
+  HistogramBin(out, lo, width, bins);
+  SLED_CHECK(naive_bins == bins, "histogram bin mismatch");
+  r.bin = PairedBest(
+      [&] {
+        NaiveBin(out, lo, width, naive_bins);
+        benchmark::DoNotOptimize(naive_bins.data());
+        benchmark::ClobberMemory();
+      },
+      [&] {
+        HistogramBin(out, lo, width, bins);
+        benchmark::DoNotOptimize(bins.data());
+        benchmark::ClobberMemory();
+      });
+  return r;
+}
 
 // Sparse-file FSLEDS_GET: 32768 pages (128 MiB), half resident in 128-page
 // stripes — a sparsely cached file whose scan is ~256 runs vs 32768 pages.
@@ -487,19 +627,20 @@ void RunWallClockSuite() {
   const MicroResult sleds = MeasureSledsGet();
   const MicroResult plan = MeasurePlanRun();
   const MicroResult dirty = MeasureAllDirty();
-  char json[1024];
-  std::snprintf(
-      json, sizeof(json),
-      "{\n"
-      "  \"sleds_get_sparse_32768p\": "
-      "{\"naive_us\": %.1f, \"indexed_us\": %.1f, \"speedup\": %.2f},\n"
-      "  \"readahead_plan_sweep\": "
-      "{\"naive_us\": %.1f, \"indexed_us\": %.1f, \"speedup\": %.2f},\n"
-      "  \"all_dirty_pages_100k\": "
-      "{\"naive_us\": %.1f, \"indexed_us\": %.1f, \"speedup\": %.2f}\n"
-      "}",
-      sleds.naive_us, sleds.indexed_us, sleds.speedup(), plan.naive_us, plan.indexed_us,
-      plan.speedup(), dirty.naive_us, dirty.indexed_us, dirty.speedup());
+  const KernelResults kernels = MeasureRowKernels();
+  const std::pair<const char*, MicroResult> entries[] = {
+      {"sleds_get_sparse_32768p", sleds},        {"readahead_plan_sweep", plan},
+      {"all_dirty_pages_100k", dirty},           {"fits_decode_row_16k", kernels.decode},
+      {"histogram_minmax_16k", kernels.minmax}, {"histogram_bin_16k", kernels.bin}};
+  std::string json = "{";
+  for (const auto& [name, r] : entries) {
+    char line[160];
+    std::snprintf(line, sizeof(line),
+                  "%s\n  \"%s\": {\"naive_us\": %.1f, \"indexed_us\": %.1f, \"speedup\": %.2f}",
+                  json.size() > 1 ? "," : "", name, r.naive_us, r.indexed_us, r.speedup());
+    json += line;
+  }
+  json += "\n}";
   PrintBenchMetrics("micro", json);
 }
 

@@ -23,10 +23,12 @@ For bench_shard the gated `speedup` is parallel efficiency (raw speedup per
 usable core), so the same baseline is meaningful on hosts with different core
 counts. On a host with fewer than 2 hardware threads it is 1 by construction,
 so the gate skips the shard entries there and prints why. One bench_shard or
-bench_scale run is too noisy to be a baseline: after --refresh, set
-`benches.shard` and `benches.scale` to the median of at least 10 runs of
-their bench, and leave out any entry whose lowest run falls below its
-median * TOLERANCE (that entry would fail unchanged code).
+bench_scale run is too noisy to be a baseline, nor is one run of bench_micro's
+row-kernel entries (`fits_decode_row_16k`, `histogram_minmax_16k`,
+`histogram_bin_16k`): after --refresh, set `benches.shard`, `benches.scale`
+and those entries to the median of at least 10 runs of their bench, and
+leave out any entry whose lowest run falls below its median * TOLERANCE
+(that entry would fail unchanged code).
 
 Accuracy mode (`--accuracy <json_dir>`) gates the `error` fields of
 BENCH_estimate_accuracy.json (estimate-vs-access MAPE and end-to-end bias,

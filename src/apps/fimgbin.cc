@@ -1,10 +1,75 @@
 #include "src/apps/fimgbin.h"
 
+#include <emmintrin.h>
+
+#include <algorithm>
 #include <vector>
 
 #include "src/apps/fits_scan.h"
 
 namespace sled {
+namespace {
+
+// Adds `cells` whole boxes of one input row, `box` consecutive pixels each,
+// to s[0, cells).
+void AddWholeCells(const double* v, int64_t box, int64_t cells, double* s) {
+  int64_t c = 0;
+  if (box % 2 == 0) {
+    // Two cells per step, one per lane; each lane adds its cell's pixels in
+    // order, two per load.
+    for (; c + 2 <= cells; c += 2) {
+      const double* a = v + c * box;
+      const double* b = a + box;
+      __m128d sum = _mm_loadu_pd(s + c);
+      for (int64_t k = 0; k < box; k += 2) {
+        const __m128d x = _mm_loadu_pd(a + k);
+        const __m128d y = _mm_loadu_pd(b + k);
+        sum = _mm_add_pd(sum, _mm_unpacklo_pd(x, y));
+        sum = _mm_add_pd(sum, _mm_unpackhi_pd(x, y));
+      }
+      _mm_storeu_pd(s + c, sum);
+    }
+  }
+  for (; c < cells; ++c) {
+    double sum = s[c];
+    for (int64_t k = 0; k < box; ++k) {
+      sum += v[c * box + k];
+    }
+    s[c] = sum;
+  }
+}
+
+}  // namespace
+
+void FimgbinAccumulate(int64_t first, std::span<const double> values, int64_t in_w, int64_t box,
+                       std::span<double> sums) {
+  const int64_t out_w = in_w / box;
+  const double* v = values.data();
+  // One input row's part of the run per step: a head up to the next box
+  // boundary, whole boxes, then a tail that starts a box.
+  for (int64_t left = static_cast<int64_t>(values.size()), at = first; left > 0;) {
+    const int64_t x = at % in_w;
+    const int64_t len = std::min(in_w - x, left);
+    double* s = sums.data() + at / in_w / box * out_w + x / box;
+    int64_t i = 0;
+    if (x % box != 0) {
+      for (const int64_t head = std::min(len, box - x % box); i < head; ++i) {
+        *s += v[i];
+      }
+      ++s;
+    }
+    const int64_t cells = (len - i) / box;
+    AddWholeCells(v + i, box, cells, s);
+    i += cells * box;
+    s += cells;
+    for (; i < len; ++i) {
+      *s += v[i];
+    }
+    v += len;
+    at += len;
+    left -= len;
+  }
+}
 
 Result<FimgbinResult> FimgbinApp::Run(SimKernel& kernel, Process& process, std::string_view input,
                                       std::string_view output, const FimgbinOptions& options) {
@@ -30,29 +95,7 @@ Result<FimgbinResult> FimgbinApp::Run(SimKernel& kernel, Process& process, std::
   SLED_RETURN_IF_ERROR(FitsScanElements(
       kernel, process, in_fd, header, options.use_sleds, options.buffer_elements, options.costs,
       [&](int64_t first, std::span<const double> values) {
-        // Divide once per run, then step: the output column advances every
-        // `boxcar` pixels and the output row every `boxcar` input rows. Runs
-        // may start mid-row (SLEDs mode).
-        const int64_t box = options.boxcar;
-        const int64_t x = first % in_w;
-        const int64_t y = first / in_w;
-        int64_t x_in_box = x % box;
-        int64_t y_in_box = y % box;
-        int64_t out_x = x / box;
-        int64_t out_row = y / box * out_w;
-        for (const double v : values) {
-          sums[static_cast<size_t>(out_row + out_x)] += v;
-          if (++x_in_box == box) {
-            x_in_box = 0;
-            if (++out_x == out_w) {
-              out_x = 0;
-              if (++y_in_box == box) {
-                y_in_box = 0;
-                out_row += out_w;
-              }
-            }
-          }
-        }
+        FimgbinAccumulate(first, values, in_w, options.boxcar, sums);
         kernel.ChargeAppCpu(process,
                             options.costs.image_per_element *
                                 static_cast<int64_t>(values.size()));

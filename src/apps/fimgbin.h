@@ -8,6 +8,7 @@
 #ifndef SLEDS_SRC_APPS_FIMGBIN_H_
 #define SLEDS_SRC_APPS_FIMGBIN_H_
 
+#include <span>
 #include <string_view>
 
 #include "src/apps/app_costs.h"
@@ -30,6 +31,15 @@ struct FimgbinResult {
   int64_t out_height = 0;
   double output_sum = 0.0;  // checksum for validation
 };
+
+// Adds a run of input pixels, the first of them at element `first` of an
+// image `in_w` pixels wide, to the boxcar sums of the output plane:
+// pixel (x, y) goes to sums[(y / box) * (in_w / box) + x / box]. Each cell
+// receives its pixels in the run's order, as adding them one at a time would,
+// so its sum has the same bits. A run may start mid-row and mid-box (SLEDs
+// mode); `in_w` must be a multiple of `box`.
+void FimgbinAccumulate(int64_t first, std::span<const double> values, int64_t in_w, int64_t box,
+                       std::span<double> sums);
 
 class FimgbinApp {
  public:

@@ -74,7 +74,7 @@ double FitsDecodePixel(const char* in, int bitpix);
 
 // Encodes `values` into values.size() * element_size bytes at `out` (any
 // alignment), byte for byte as FitsEncodePixel would, choosing the BITPIX
-// case once per row.
+// case once per row. BITPIX -32 encodes four pixels per SSE2 step.
 void FitsEncodeRow(std::span<const double> values, int bitpix, char* out);
 
 // ---- kernel-level I/O (costed through the simulated OS) ----

@@ -20,19 +20,35 @@ int64_t ExtentAllocator::AllocatedSizeOf(const std::vector<Extent>& extents) con
   return total;
 }
 
+void ExtentAllocator::Append(std::vector<Extent>& extents, int64_t logical_start,
+                             int64_t device_start, int64_t length) const {
+  if (!extents.empty()) {
+    Extent& last = extents.back();
+    if (last.device_start + last.length == device_start && config_.inter_extent_gap_bytes == 0 &&
+        last.length + length <= config_.max_extent_bytes) {
+      last.length += length;
+      return;
+    }
+  }
+  extents.push_back({logical_start, device_start, length});
+}
+
 Result<void> ExtentAllocator::Resize(InodeNum ino, int64_t new_size) {
   std::vector<Extent>& extents = extents_[ino];
   const int64_t target = PageCeil(new_size);
   int64_t have = AllocatedSizeOf(extents);
 
   if (target < have) {
-    // Shrink: trim extents past the target; freed space is not reused.
+    // Shrink: release the extents past the target.
     while (!extents.empty()) {
       Extent& last = extents.back();
       if (last.logical_start >= target) {
+        released_.emplace(last.device_start, last.length);
         extents.pop_back();
       } else if (last.logical_start + last.length > target) {
-        last.length = target - last.logical_start;
+        const int64_t keep = target - last.logical_start;
+        released_.emplace(last.device_start + keep, last.length - keep);
+        last.length = keep;
         break;
       } else {
         break;
@@ -43,28 +59,39 @@ Result<void> ExtentAllocator::Resize(InodeNum ino, int64_t new_size) {
 
   while (have < target) {
     const int64_t want = std::min(target - have, config_.max_extent_bytes);
-    if (next_free_ + want > device_->capacity_bytes()) {
+    int64_t start = next_free_;
+    int64_t length = want;
+    if (next_free_ + want <= device_->capacity_bytes()) {
+      next_free_ += want + config_.inter_extent_gap_bytes;
+    } else if (!released_.empty()) {
+      // The bump pointer has reached the end of the device.
+      const auto lowest = released_.begin();
+      start = lowest->first;
+      length = std::min(want, lowest->second);
+      const int64_t rest = lowest->second - length;
+      released_.erase(lowest);
+      if (rest > 0) {
+        released_.emplace(start + length, rest);
+      }
+    } else {
       return Err::kNoSpc;
     }
-    // Coalesce with the previous extent when device-contiguous.
-    if (!extents.empty()) {
-      Extent& last = extents.back();
-      if (last.device_start + last.length == next_free_ &&
-          config_.inter_extent_gap_bytes == 0 && last.length + want <= config_.max_extent_bytes) {
-        last.length += want;
-        next_free_ += want;
-        have += want;
-        continue;
-      }
-    }
-    extents.push_back({have, next_free_, want});
-    next_free_ += want + config_.inter_extent_gap_bytes;
-    have += want;
+    Append(extents, have, start, length);
+    have += length;
   }
   return Result<void>::Ok();
 }
 
-void ExtentAllocator::Free(InodeNum ino) { extents_.erase(ino); }
+void ExtentAllocator::Free(InodeNum ino) {
+  const auto it = extents_.find(ino);
+  if (it == extents_.end()) {
+    return;
+  }
+  for (const Extent& e : it->second) {
+    released_.emplace(e.device_start, e.length);
+  }
+  extents_.erase(it);
+}
 
 Result<Duration> ExtentAllocator::TransferPages(InodeNum ino, int64_t first_page, int64_t count,
                                                 bool writing) {

@@ -7,10 +7,14 @@
 // Allocation is bump-pointer with a configurable maximum extent length and an
 // optional inter-extent gap, which models file-system aging/fragmentation for
 // ablation experiments (a fragmented file pays one reposition per extent).
+// Space that unlinks and truncations release is reused only once the bump
+// pointer has reached the end of the device, so a device that never fills
+// places every extent exactly where a pure bump allocator would.
 #ifndef SLEDS_SRC_FS_EXTENT_ALLOCATOR_H_
 #define SLEDS_SRC_FS_EXTENT_ALLOCATOR_H_
 
 #include <cstdint>
+#include <map>
 #include <unordered_map>
 #include <vector>
 
@@ -43,12 +47,13 @@ class ExtentAllocator {
   ExtentAllocator(StorageDevice* device, ExtentAllocatorConfig config);
 
   // Grow/shrink the allocation for `ino` to cover `new_size` bytes (rounded
-  // up to whole pages). Shrinking frees nothing (bump allocator) but forgets
-  // extents beyond the new size. Growing returns kNoSpc when the device is
-  // exhausted.
+  // up to whole pages). Shrinking releases the extents beyond the new size.
+  // Growing takes device space from the bump pointer while it lasts, then
+  // released space, lowest address first, and returns kNoSpc when neither
+  // has any left.
   Result<void> Resize(InodeNum ino, int64_t new_size);
 
-  // Remove all allocation state for an inode.
+  // Remove all allocation state for an inode, releasing its extents.
   void Free(InodeNum ino);
 
   // Device time to transfer pages [first_page, first_page+count). Walks the
@@ -67,10 +72,17 @@ class ExtentAllocator {
   // Allocated (page-aligned) bytes currently backing `ino`.
   int64_t AllocatedSizeOf(const std::vector<Extent>& extents) const;
 
+  // Appends device bytes [device_start, device_start + length) at logical
+  // offset `logical_start`, merged into the last extent when they continue it.
+  void Append(std::vector<Extent>& extents, int64_t logical_start, int64_t device_start,
+              int64_t length) const;
+
   StorageDevice* device_;
   ExtentAllocatorConfig config_;
   int64_t next_free_;
   std::unordered_map<InodeNum, std::vector<Extent>> extents_;
+  // Released device ranges, start -> length, below next_free_.
+  std::map<int64_t, int64_t> released_;
 };
 
 }  // namespace sled

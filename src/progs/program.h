@@ -31,6 +31,8 @@
 #ifndef SLEDS_SRC_PROGS_PROGRAM_H_
 #define SLEDS_SRC_PROGS_PROGRAM_H_
 
+#include <emmintrin.h>
+
 #include <array>
 #include <cstdint>
 #include <span>
@@ -235,27 +237,39 @@ constexpr U ByteSwap(U v) {
   }
 }
 
+// Reverses the byte order of each 32-bit lane of `v`: the bytes of each 16-bit
+// word swap, then the two words of each lane. SSE2 only, since SSSE3's pshufb
+// is not in the x86-64 baseline.
+inline __m128i ByteSwap32x4(__m128i v) {
+  v = _mm_or_si128(_mm_slli_epi16(v, 8), _mm_srli_epi16(v, 8));
+  v = _mm_shufflelo_epi16(v, _MM_SHUFFLE(2, 3, 0, 1));
+  return _mm_shufflehi_epi16(v, _MM_SHUFFLE(2, 3, 0, 1));
+}
+
 // Decodes out.size() big-endian FITS elements of `bitpix` (8, 16, 32, -32 or
 // -64) from `in`, which holds out.size() * ProgElementSize(bitpix) bytes at
 // any alignment. The one row decode behind the FITS apps' reads and the
 // kHistogram program; it lives here because progs sits below the kernel and
 // src/fits above it. The BITPIX case is chosen once per row, and every value
-// is bit-identical to FitsDecodePixel's, the per-pixel reference.
+// is bit-identical to FitsDecodePixel's, the per-pixel reference. BITPIX -32
+// decodes four pixels per SSE2 step.
 void FitsDecodeRow(const char* in, int bitpix, std::span<double> out);
 
 // The histogram's two reductions, each the one loop behind both fimhisto's
 // passes and the kHistogram program. Both keep their running state in
 // locals and may be fed a pass in any split.
 //
-// HistogramMinMax folds `values` into [*lo, *hi] in order with std::min and
-// std::max: NaN values are skipped, and of equal values (+0 and -0) the
-// first one seen stays.
+// HistogramMinMax folds `values` into [*lo, *hi] as if in order with
+// std::min and std::max: NaN values are skipped, and of equal values (+0 and
+// -0) the first one seen stays. It folds eight SSE2 lanes; calls shorter than
+// that, and calls whose minimum or maximum is a zero, run the in-order loop.
 void HistogramMinMax(std::span<const double> values, double* lo, double* hi);
 
 // HistogramBin adds each value to bin (v - lo) / width, truncated toward
 // zero and clamped to [0, bins.size() - 1]. A quotient that is NaN (a blank
 // pixel, or Inf - Inf) or does not fit in int goes to bin 0. `bins` must not
-// be empty; it may be wider than kProgMaxBins.
+// be empty; it may be wider than kProgMaxBins, and then takes a scalar loop.
+// Up to kProgMaxBins, it bins four values per step, two per SSE2 register.
 void HistogramBin(std::span<const double> values, double lo, double width,
                   std::span<int64_t> bins);
 

@@ -3,6 +3,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/log.h"
@@ -69,8 +70,13 @@ ShardWorldResult RunShardWorld(const ShardWorldConfig& config, ObsAccumulator* a
   procs.reserve(static_cast<size_t>(config.processes));
   std::string chunk(16 * kKiB, 'x');
   for (int p = 0; p < config.processes; ++p) {
-    Process& proc = kernel.CreateProcess("w" + std::to_string(config.world_id) + ".p" +
-                                         std::to_string(p));
+    // Appended piece by piece: GCC 12 at -O3 gives a false -Wrestrict for the
+    // inlined operator+(const char*, std::string&&).
+    std::string name = "w";
+    name += std::to_string(config.world_id);
+    name += ".p";
+    name += std::to_string(p);
+    Process& proc = kernel.CreateProcess(std::move(name));
     procs.push_back(&proc);
     for (int f = 0; f < config.files_per_process; ++f) {
       const std::string path = FilePath(config.world_id, p, f);

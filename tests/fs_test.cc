@@ -131,6 +131,39 @@ TEST(ExtentAllocatorTest, OutOfSpaceReturnsNoSpc) {
   EXPECT_EQ(fs->Truncate(f, 128 * kPageSize).error(), Err::kNoSpc);
 }
 
+// Released space is reused once the bump pointer reaches the end of the
+// device, lowest address first; until then extents come from the bump pointer
+// only.
+TEST(ExtentAllocatorTest, ReusesReleasedSpaceOnceTheDeviceIsFull) {
+  DiskDeviceConfig small;
+  small.capacity_bytes = 64 * kPageSize;  // page 0 is reserved
+  auto fs = std::make_unique<ExtFs>("tiny", std::make_unique<DiskDevice>(small));
+  const ExtentAllocator& alloc = fs->allocator();
+  const InodeNum a = fs->CreateFile(fs->root(), "a").value();
+  const InodeNum b = fs->CreateFile(fs->root(), "b").value();
+  ASSERT_TRUE(fs->Truncate(a, 40 * kPageSize).ok());  // pages 1-40
+  ASSERT_TRUE(fs->Truncate(b, 20 * kPageSize).ok());  // pages 41-60
+  ASSERT_TRUE(fs->Truncate(b, 15 * kPageSize).ok());  // releases pages 56-60
+  ASSERT_TRUE(fs->Truncate(a, 0).ok());               // releases pages 1-40
+  // Three pages are left past the bump pointer, so a 3-page file still takes
+  // them.
+  const InodeNum c = fs->CreateFile(fs->root(), "c").value();
+  ASSERT_TRUE(fs->Truncate(c, 3 * kPageSize).ok());
+  EXPECT_EQ(alloc.DeviceAddressOf(c, 0).value(), 61 * kPageSize);
+  // The next file gets pages 1-30, the lowest released ones, as one extent.
+  const InodeNum d = fs->CreateFile(fs->root(), "d").value();
+  ASSERT_TRUE(fs->Truncate(d, 30 * kPageSize).ok());
+  EXPECT_EQ(alloc.DeviceAddressOf(d, 0).value(), 1 * kPageSize);
+  EXPECT_EQ(alloc.ExtentCountOf(d), 1);
+  // Growing takes the rest of pages 1-40, then 56-60: two extents.
+  ASSERT_TRUE(fs->Truncate(d, 45 * kPageSize).ok());
+  EXPECT_EQ(alloc.ExtentCountOf(d), 2);
+  EXPECT_EQ(alloc.DeviceAddressOf(d, 40 * kPageSize).value(), 56 * kPageSize);
+  EXPECT_TRUE(fs->ReadPagesFromStore(d, 0, 45).ok());
+  // Nothing is left.
+  EXPECT_EQ(fs->Truncate(c, 4 * kPageSize).error(), Err::kNoSpc);
+}
+
 TEST(ExtentFileSystemTest, ReadPagesChargesDeviceTime) {
   auto fs = MakeExtFs();
   const InodeNum f = fs->CreateFile(fs->root(), "f").value();

@@ -2,8 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <numeric>
+#include <random>
 #include <span>
 #include <string>
 #include <vector>
@@ -246,6 +248,81 @@ TEST(FimgbinTest, OutputBytesMatchPerPixelReference) {
       cache_middle_stripe();
       EXPECT_TRUE(WriteNaiveFimgbin(w, "/in.fits", "/ref.fits", options));
       EXPECT_EQ(ReadFileBytes(w, "/out.fits"), ReadFileBytes(w, "/ref.fits"));
+    }
+  }
+}
+
+// fimgbin's per-pixel stepping loop as it was before FimgbinAccumulate
+// replaced it: one division per run, then the output column advances every
+// `box` pixels and the output row every `box` input rows.
+void SteppingAccumulate(int64_t first, std::span<const double> values, int64_t in_w,
+                        int64_t box, std::span<double> sums) {
+  const int64_t out_w = in_w / box;
+  const int64_t x = first % in_w;
+  const int64_t y = first / in_w;
+  int64_t x_in_box = x % box;
+  int64_t y_in_box = y % box;
+  int64_t out_x = x / box;
+  int64_t out_row = y / box * out_w;
+  for (const double v : values) {
+    sums[static_cast<size_t>(out_row + out_x)] += v;
+    if (++x_in_box == box) {
+      x_in_box = 0;
+      if (++out_x == out_w) {
+        out_x = 0;
+        if (++y_in_box == box) {
+          y_in_box = 0;
+          out_row += out_w;
+        }
+      }
+    }
+  }
+}
+
+// FimgbinAccumulate against the stepping loop, bit for bit, over runs that
+// start at every x and y offset of the first two rows and over every split of
+// the image into two runs, each order. Pixels and starting sums span many
+// binades, so a changed addition order changes the bits.
+TEST(FimgbinTest, AccumulateMatchesSteppingLoopBitForBit) {
+  std::mt19937_64 gen(41);
+  std::normal_distribution<double> normal(0.0, 1.0);
+  auto spread = [&] { return std::ldexp(normal(gen), static_cast<int>(gen() % 61) - 30); };
+  for (int64_t box = 1; box <= 4; ++box) {
+    for (const int64_t out_w : {1, 2, 3, 7}) {
+      SCOPED_TRACE(testing::Message() << "box " << box << " out_w " << out_w);
+      const int64_t in_w = out_w * box;
+      const int64_t in_h = 3 * box;
+      std::vector<double> pixels(static_cast<size_t>(in_w * in_h));
+      std::vector<double> start(static_cast<size_t>(out_w * 3));
+      for (double& p : pixels) {
+        p = spread();
+      }
+      for (double& v : start) {
+        v = spread();
+      }
+      // Runs as (first, count) lists, each applied in order to `start`.
+      std::vector<std::vector<std::pair<int64_t, int64_t>>> cases;
+      const int64_t total = in_w * in_h;
+      for (int64_t first = 0; first < std::min(2 * in_w, total); ++first) {
+        cases.push_back({{first, total - first}});
+        cases.push_back({{first, std::min<int64_t>(box + 1, total - first)}});
+      }
+      for (int64_t cut = 0; cut <= total; ++cut) {
+        cases.push_back({{0, cut}, {cut, total - cut}});
+        cases.push_back({{cut, total - cut}, {0, cut}});
+      }
+      for (const auto& runs : cases) {
+        std::vector<double> got = start;
+        std::vector<double> want = start;
+        for (const auto& [first, count] : runs) {
+          const auto run = std::span<const double>(pixels).subspan(static_cast<size_t>(first),
+                                                                   static_cast<size_t>(count));
+          FimgbinAccumulate(first, run, in_w, box, got);
+          SteppingAccumulate(first, run, in_w, box, want);
+        }
+        ASSERT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(double)), 0)
+            << "first run at " << runs[0].first << ", " << runs[0].second << " pixels";
+      }
     }
   }
 }

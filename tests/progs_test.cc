@@ -165,6 +165,44 @@ TEST(HistogramLoopTest, MinMaxMatchesOracleAtEverySplit) {
     }
     inputs.push_back(values);
   }
+  // Inputs long enough for HistogramMinMax's eight lanes. A zero tie at the
+  // minimum (the rest positive) or at the maximum (the rest negative), with
+  // the first zero at every position mod 8 and the other zero in each of the
+  // next eight positions, so every lane but the first zero's starts with the
+  // other sign.
+  for (const size_t n : {64, 1000}) {
+    for (const double rest : {1.0, -1.0}) {
+      for (const double first_zero : {0.0, -0.0}) {
+        for (size_t first = 0; first < 8; ++first) {
+          std::vector<double> values(n);
+          for (size_t i = 0; i < n; ++i) {
+            values[i] = rest * (1.0 + std::abs(normal(gen)));
+          }
+          values[first] = first_zero;
+          for (size_t k = 1; k <= 8; ++k) {
+            values[first + k] = -first_zero;
+          }
+          inputs.push_back(values);
+        }
+      }
+    }
+    // NaN at every lane position, all NaN, and infinite runs.
+    for (size_t lane = 0; lane < 8; ++lane) {
+      std::vector<double> values(n);
+      for (size_t i = 0; i < n; ++i) {
+        values[i] = i % 8 == lane ? kNan : normal(gen);
+      }
+      inputs.push_back(values);
+    }
+    inputs.push_back(std::vector<double>(n, kNan));
+    inputs.push_back(std::vector<double>(n, kInf));
+    inputs.push_back(std::vector<double>(n, -kInf));
+    std::vector<double> mixed(n);
+    for (size_t i = 0; i < n; ++i) {
+      mixed[i] = i % 3 == 0 ? kInf : i % 3 == 1 ? -kInf : kNan;
+    }
+    inputs.push_back(mixed);
+  }
   for (size_t c = 0; c < inputs.size(); ++c) {
     const std::vector<double>& values = inputs[c];
     double want_lo = kInf;
@@ -263,6 +301,55 @@ TEST(HistogramLoopTest, BinMatchesOracleAtEverySplit) {
   bins.assign(4, 0);
   HistogramBin(std::vector<double>{2147483647.0 + 3.0, -2147483648.0 + 3.0}, 3.0, 1.0, bins);
   EXPECT_EQ(bins, (std::vector<int64_t>{1, 0, 0, 1}));
+}
+
+TEST(HistogramLoopTest, BinMatchesOracleAtEveryLength) {
+  // Every call length from 0 to 1032: each remainder of the four-value step,
+  // at every count of whole steps up to there.
+  const double kNan = std::numeric_limits<double>::quiet_NaN();
+  const double kInf = std::numeric_limits<double>::infinity();
+  constexpr size_t kMaxLength = 1032;
+  const double outside[] = {kNan, kInf, -kInf, 1e300, -1e300};
+  std::mt19937_64 gen(13);
+  for (const int num_bins : {1, 64, kProgMaxBins}) {
+    SCOPED_TRACE(testing::Message() << "bins " << num_bins);
+    const double lo = -4.0;
+    const double width = 8.0 / num_bins;
+    // Values in range, below and above it, the ones the conversion cannot
+    // take, and runs of one value.
+    std::uniform_real_distribution<double> around(lo - 2.0, lo + 10.0);
+    std::vector<double> values;
+    while (values.size() < kMaxLength) {
+      switch (gen() % 8) {
+        case 0:
+          values.push_back(outside[gen() % std::size(outside)]);
+          break;
+        case 1:
+          values.insert(values.end(), gen() % 9, around(gen));
+          break;
+        default:
+          values.push_back(around(gen));
+      }
+    }
+    values.resize(kMaxLength);
+    std::vector<int64_t> want(static_cast<size_t>(num_bins), 0);
+    for (size_t n = 0; n <= kMaxLength; ++n) {
+      // One guard bin on each side must stay zero.
+      std::vector<int64_t> bins(static_cast<size_t>(num_bins) + 2, 0);
+      const std::span<int64_t> inner(bins.data() + 1, static_cast<size_t>(num_bins));
+      HistogramBin(std::span<const double>(values).first(n), lo, width, inner);
+      ASSERT_EQ(bins.front(), 0) << "length " << n;
+      ASSERT_EQ(bins.back(), 0) << "length " << n;
+      ASSERT_EQ(std::vector<int64_t>(inner.begin(), inner.end()), want) << "length " << n;
+      if (n < kMaxLength) {
+        if (QuotientFitsInt(values[n], lo, width)) {
+          OracleBin(std::span<const double>(&values[n], 1), lo, width, num_bins, want);
+        } else {
+          ++want[0];
+        }
+      }
+    }
+  }
 }
 
 // ---- result identity: program == oracle, in both engine modes ----
