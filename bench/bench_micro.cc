@@ -7,12 +7,14 @@
 // Two layers:
 //  * A wall-clock suite (std::chrono, real time — NOT the simulated clock)
 //    that pits the run-indexed page cache against naive page-at-a-time
-//    replicas of the old algorithms, and the FITS row kernels against
-//    one-value-at-a-time replicas, and emits a BENCH_micro.json block.
+//    replicas of the old algorithms, the FITS row kernels against
+//    one-value-at-a-time replicas and wc's count against its former
+//    block loop, and emits a BENCH_micro.json block.
 //  * The google-benchmark registrations, run afterwards.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -356,17 +358,13 @@ BENCHMARK(BM_KernelCachedRead);
 // the run-indexed cache paths against faithful replicas of the old
 // page-at-a-time algorithms built from the same public API.
 
-// Best-of-N wall time in microseconds (min is robust against scheduler noise).
+// Wall time of one call of `f`, in microseconds.
 template <typename F>
-double BestWallMicros(int iters, F&& f) {
-  double best = std::numeric_limits<double>::infinity();
-  for (int i = 0; i < iters; ++i) {
-    const auto t0 = std::chrono::steady_clock::now();
-    f();
-    const auto t1 = std::chrono::steady_clock::now();
-    best = std::min(best, std::chrono::duration<double, std::micro>(t1 - t0).count());
-  }
-  return best;
+double WallMicros(F&& f) {
+  const auto t0 = std::chrono::steady_clock::now();
+  f();
+  const auto t1 = std::chrono::steady_clock::now();
+  return std::chrono::duration<double, std::micro>(t1 - t0).count();
 }
 
 // Replica of the pre-index FSLEDS_GET: probe the cache for every page of the
@@ -451,30 +449,33 @@ void NaiveBin(std::span<const double> values, double lo, double width, std::span
   }
 }
 
-// Best-of-100 wall time of 16 calls each of `naive` and `kernel`, their
-// samples interleaved so that a slow spell of the host meets both.
+// Best-of-`samples` wall time of `calls` calls each of `naive` and `kernel`,
+// their samples interleaved so that a slow spell of the host meets both. The
+// minimum is robust against scheduler noise.
 template <typename Naive, typename Kernel>
-MicroResult PairedBest(Naive&& naive, Kernel&& kernel) {
-  constexpr int kSamples = 100;
-  constexpr int kCalls = 16;
-  auto calls = [](auto&& f) {
-    return [&f] {
-      for (int c = 0; c < kCalls; ++c) {
+MicroResult PairedBest(int samples, int calls, Naive&& naive, Kernel&& kernel) {
+  auto repeated = [calls](auto&& f) {
+    return [&f, calls] {
+      for (int c = 0; c < calls; ++c) {
         f();
       }
     };
   };
   MicroResult r{.naive_us = std::numeric_limits<double>::infinity(),
                 .indexed_us = std::numeric_limits<double>::infinity()};
-  for (int s = 0; s < kSamples; ++s) {
-    r.naive_us = std::min(r.naive_us, BestWallMicros(1, calls(naive)));
-    r.indexed_us = std::min(r.indexed_us, BestWallMicros(1, calls(kernel)));
+  for (int s = 0; s < samples; ++s) {
+    r.naive_us = std::min(r.naive_us, WallMicros(repeated(naive)));
+    r.indexed_us = std::min(r.indexed_us, WallMicros(repeated(kernel)));
   }
   return r;
 }
 
 // Each kernel against its replica over one 16 Ki-pixel run (RunPixels,
-// BITPIX -32), after checking that both give the same bits.
+// BITPIX -32), after checking that both give the same bits: best of 100
+// samples of 16 calls.
+constexpr int kRowSamples = 100;
+constexpr int kRowCalls = 16;
+
 struct KernelResults {
   MicroResult decode;
   MicroResult minmax;
@@ -493,6 +494,7 @@ KernelResults MeasureRowKernels() {
              "row decode mismatch");
   KernelResults r;
   r.decode = PairedBest(
+      kRowSamples, kRowCalls,
       [&] {
         NaiveDecodeRow(bytes.data(), -32, naive_out);
         benchmark::DoNotOptimize(naive_out.data());
@@ -512,7 +514,8 @@ KernelResults MeasureRowKernels() {
     return std::pair{lo, hi};
   };
   SLED_CHECK(min_max(NaiveMinMax) == min_max(HistogramMinMax), "min/max mismatch");
-  r.minmax = PairedBest([&] { benchmark::DoNotOptimize(min_max(NaiveMinMax)); },
+  r.minmax = PairedBest(kRowSamples, kRowCalls,
+                        [&] { benchmark::DoNotOptimize(min_max(NaiveMinMax)); },
                         [&] { benchmark::DoNotOptimize(min_max(HistogramMinMax)); });
 
   const auto [lo, hi] = min_max(HistogramMinMax);
@@ -523,6 +526,7 @@ KernelResults MeasureRowKernels() {
   HistogramBin(out, lo, width, bins);
   SLED_CHECK(naive_bins == bins, "histogram bin mismatch");
   r.bin = PairedBest(
+      kRowSamples, kRowCalls,
       [&] {
         NaiveBin(out, lo, width, naive_bins);
         benchmark::DoNotOptimize(naive_bins.data());
@@ -536,8 +540,99 @@ KernelResults MeasureRowKernels() {
   return r;
 }
 
+// Replica of CountWcChunk's former loop: fixed 64-byte blocks that GCC
+// vectorizes by itself, each byte's space class computed twice (as a byte
+// and as the next byte's predecessor) and both sums folded after every block.
+// block[-1] decides whether block[0] starts a word; the first and the last
+// partial block go through a 65-byte stage padded with spaces.
+constexpr size_t kWcBlock = 64;
+
+void CountWcBlock(const char* block, WcCounts* counts) {
+  const char* prev = block - 1;
+  uint8_t lines = 0;
+  uint8_t starts = 0;
+  for (size_t i = 0; i < kWcBlock; ++i) {
+    lines += block[i] == '\n';
+    starts += IsWcSpace(prev[i]) > IsWcSpace(block[i]);
+  }
+  counts->lines += lines;
+  counts->words += starts;
+}
+
+WcCounts BlockWcChunk(std::string_view data, bool in_word) {
+  WcCounts counts;
+  if (data.empty()) {
+    return counts;
+  }
+  std::array<char, kWcBlock + 1> stage;
+  stage.fill(' ');
+  stage[0] = in_word ? 'x' : ' ';
+  const size_t head = std::min(data.size(), kWcBlock);
+  std::memcpy(stage.data() + 1, data.data(), head);
+  CountWcBlock(stage.data() + 1, &counts);
+  size_t at = head;
+  for (; at + kWcBlock <= data.size(); at += kWcBlock) {
+    CountWcBlock(data.data() + at, &counts);
+  }
+  if (at < data.size()) {
+    stage.fill(' ');
+    stage[0] = data[at - 1];
+    std::memcpy(stage.data() + 1, data.data() + at, data.size() - at);
+    CountWcBlock(stage.data() + 1, &counts);
+  }
+  return counts;
+}
+
+// wc's count in the apps' 64 KiB chunks, as the mmap and program variants
+// run it over the file store in place.
+template <typename Count>
+WcCounts CountInChunks(std::string_view text, Count&& count) {
+  WcCounts total;
+  for (size_t at = 0; at < text.size(); at += kDefaultAppBuffer) {
+    const WcCounts c = count(text.substr(at, kDefaultAppBuffer), /*in_word=*/false);
+    total.lines += c.lines;
+    total.words += c.words;
+  }
+  return total;
+}
+
+// CountWcChunk against the replica, after checking that both give the same
+// counts: over one L2-resident 64 KiB buffer (a read() variant's user
+// buffer), best of 100 samples of 16 calls, and over 64 MiB of generator
+// text in 64 KiB chunks, the stream its prefetch serves, best of 15 single
+// passes.
+struct WcResults {
+  MicroResult in_cache;
+  MicroResult stream;
+};
+
+WcResults MeasureWcCount() {
+  const std::string text = GeneratedText();
+  const std::string buffer = text.substr(0, kDefaultAppBuffer);
+  std::string stream;
+  stream.reserve(64 * text.size());
+  for (int copy = 0; copy < 64; ++copy) {
+    stream += text;
+  }
+  const auto same = [](WcCounts a, WcCounts b) {
+    return a.lines == b.lines && a.words == b.words;
+  };
+  SLED_CHECK(same(BlockWcChunk(buffer, false), CountWcChunk(buffer, false)), "wc count mismatch");
+  SLED_CHECK(same(CountInChunks(stream, BlockWcChunk), CountInChunks(stream, CountWcChunk)),
+             "wc stream count mismatch");
+  WcResults r;
+  r.in_cache = PairedBest(
+      100, 16, [&] { benchmark::DoNotOptimize(BlockWcChunk(buffer, false)); },
+      [&] { benchmark::DoNotOptimize(CountWcChunk(buffer, false)); });
+  r.stream = PairedBest(
+      15, 1, [&] { benchmark::DoNotOptimize(CountInChunks(stream, BlockWcChunk)); },
+      [&] { benchmark::DoNotOptimize(CountInChunks(stream, CountWcChunk)); });
+  return r;
+}
+
 // Sparse-file FSLEDS_GET: 32768 pages (128 MiB), half resident in 128-page
 // stripes — a sparsely cached file whose scan is ~256 runs vs 32768 pages.
+// Best of 10 samples of 16 calls: one indexed scan takes about 15 µs.
 MicroResult MeasureSledsGet() {
   constexpr int64_t kPages = 32768;
   KernelFixture fx(kPages, /*stripe_period=*/256, /*stripe_len=*/128);
@@ -555,17 +650,14 @@ MicroResult MeasureSledsGet() {
                    naive[i].level == indexed[i].level,
                "sled %zu mismatch", i);
   }
-  MicroResult r;
-  r.naive_us = BestWallMicros(15, [&] {
-    benchmark::DoNotOptimize(NaiveSledsGet(*fx.kernel, fs_id, ino, fid));
-  });
-  r.indexed_us = BestWallMicros(15, [&] {
-    benchmark::DoNotOptimize(fx.kernel->IoctlSledsGet(*fx.proc, fx.fd).value());
-  });
-  return r;
+  return PairedBest(
+      10, 16,
+      [&] { benchmark::DoNotOptimize(NaiveSledsGet(*fx.kernel, fs_id, ino, fid)); },
+      [&] { benchmark::DoNotOptimize(fx.kernel->IoctlSledsGet(*fx.proc, fx.fd).value()); });
 }
 
-// Readahead planning across every miss page of a striped cache.
+// Readahead planning across every miss page of a striped cache, best of 15
+// samples of 4 sweeps.
 MicroResult MeasurePlanRun() {
   constexpr int64_t kPages = 1 << 17;
   constexpr int64_t kWindow = 32;
@@ -584,14 +676,15 @@ MicroResult MeasurePlanRun() {
     return total;
   };
   SLED_CHECK(sweep(NaivePlanRun) == sweep(IndexedPlanRun), "plan-run sweep mismatch");
-  MicroResult r;
-  r.naive_us = BestWallMicros(15, [&] { benchmark::DoNotOptimize(sweep(NaivePlanRun)); });
-  r.indexed_us = BestWallMicros(15, [&] { benchmark::DoNotOptimize(sweep(IndexedPlanRun)); });
-  return r;
+  return PairedBest(15, 4,
+                    [&] { benchmark::DoNotOptimize(sweep(NaivePlanRun)); },
+                    [&] { benchmark::DoNotOptimize(sweep(IndexedPlanRun)); });
 }
 
 // Writeback flush lookup: AllDirtyPages over 100k resident pages with a
 // sparse dirty set, vs the old full-cache scan (replicated on a mirror map).
+// Best of 10 samples of 16 calls: one AllDirtyPages takes a few µs, the
+// replica about 3 ms.
 MicroResult MeasureAllDirty() {
   constexpr int64_t kFiles = 10;
   constexpr int64_t kPagesPerFile = 10000;
@@ -617,10 +710,9 @@ MicroResult MeasureAllDirty() {
     return out;
   };
   SLED_CHECK(naive_all_dirty() == cache.AllDirtyPages(), "dirty-set mismatch");
-  MicroResult r;
-  r.naive_us = BestWallMicros(15, [&] { benchmark::DoNotOptimize(naive_all_dirty()); });
-  r.indexed_us = BestWallMicros(15, [&] { benchmark::DoNotOptimize(cache.AllDirtyPages()); });
-  return r;
+  return PairedBest(10, 16,
+                    [&] { benchmark::DoNotOptimize(naive_all_dirty()); },
+                    [&] { benchmark::DoNotOptimize(cache.AllDirtyPages()); });
 }
 
 void RunWallClockSuite() {
@@ -628,10 +720,12 @@ void RunWallClockSuite() {
   const MicroResult plan = MeasurePlanRun();
   const MicroResult dirty = MeasureAllDirty();
   const KernelResults kernels = MeasureRowKernels();
+  const WcResults wc = MeasureWcCount();
   const std::pair<const char*, MicroResult> entries[] = {
       {"sleds_get_sparse_32768p", sleds},        {"readahead_plan_sweep", plan},
       {"all_dirty_pages_100k", dirty},           {"fits_decode_row_16k", kernels.decode},
-      {"histogram_minmax_16k", kernels.minmax}, {"histogram_bin_16k", kernels.bin}};
+      {"histogram_minmax_16k", kernels.minmax}, {"histogram_bin_16k", kernels.bin},
+      {"wc_count_64k", wc.in_cache},             {"wc_count_64m", wc.stream}};
   std::string json = "{";
   for (const auto& [name, r] : entries) {
     char line[160];

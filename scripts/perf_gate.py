@@ -23,12 +23,15 @@ For bench_shard the gated `speedup` is parallel efficiency (raw speedup per
 usable core), so the same baseline is meaningful on hosts with different core
 counts. On a host with fewer than 2 hardware threads it is 1 by construction,
 so the gate skips the shard entries there and prints why. One bench_shard or
-bench_scale run is too noisy to be a baseline, nor is one run of bench_micro's
-row-kernel entries (`fits_decode_row_16k`, `histogram_minmax_16k`,
-`histogram_bin_16k`): after --refresh, set `benches.shard`, `benches.scale`
-and those entries to the median of at least 10 runs of their bench, and
-leave out any entry whose lowest run falls below its median * TOLERANCE
-(that entry would fail unchanged code).
+bench_scale run is too noisy to be a baseline, nor is one run of bench_micro:
+its cache-index entries (`sleds_get_sparse_32768p`, `readahead_plan_sweep`,
+`all_dirty_pages_100k`), row-kernel entries (`fits_decode_row_16k`,
+`histogram_minmax_16k`, `histogram_bin_16k`) and wc-count entries
+(`wc_count_64k`, `wc_count_64m`) each time interleaved samples of both
+sides, yet still move from run to run. After --refresh, set `benches.shard`,
+`benches.scale` and `benches.micro` to the median of at least 10 runs of
+their bench, and leave out any entry whose lowest run falls below its
+median * TOLERANCE (that entry would fail unchanged code).
 
 Accuracy mode (`--accuracy <json_dir>`) gates the `error` fields of
 BENCH_estimate_accuracy.json (estimate-vs-access MAPE and end-to-end bias,

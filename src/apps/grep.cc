@@ -24,9 +24,9 @@ namespace {
 
 constexpr size_t kNewlineBlock = 64;
 
-// '\n' bytes in `text`. As in wc's CountWcBlock, the inner loop has a fixed
-// trip count and a uint8_t sum one block cannot overflow, so the compiler
-// vectorizes it at the baseline ISA; std::count stays scalar.
+// '\n' bytes in `text`. The inner loop has a fixed trip count and a uint8_t
+// sum one block cannot overflow, so the compiler vectorizes it at the
+// baseline ISA; std::count stays scalar.
 int64_t CountNewlines(std::string_view text) {
   int64_t total = 0;
   size_t at = 0;

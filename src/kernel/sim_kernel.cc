@@ -666,7 +666,8 @@ Result<ProgResult> SimKernel::RunProgram(Process& p, int fd) {
     }
   } else if (size > 0 && act.kind == Action::Kind::kNext) {
     // kFindFirst / kCount: the kernel owns the chunk plan — file order, or
-    // the picker's §4.2 lowest-latency-first order over the file's SLEDs.
+    // for kFindFirst the picker's §4.2 lowest-latency-first order over the
+    // file's SLEDs.
     // kFindFirst chunks overlap by needle-1 bytes so a match straddling a
     // chunk boundary is still seen by the chunk it starts in.
     const int64_t overlap =

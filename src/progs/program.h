@@ -80,9 +80,11 @@ struct ProgSpec {
   // passes. The kernel clamps each chunk to the file.
   int64_t chunk_bytes = kDefaultProgChunk;
 
-  // Plan-driven kinds only: consume chunks lowest-latency-first using the
-  // picker's §4.2 ordering (SortByPickOrder) instead of file order, so a
-  // pruning program drains cheap sections before expensive ones.
+  // kFindFirst only: consume chunks lowest-latency-first using the picker's
+  // §4.2 ordering (SortByPickOrder) instead of file order, so a pruning
+  // program drains cheap sections before expensive ones. kCount refuses it
+  // (kInval): its word-seam carry is the byte before each chunk only when
+  // chunks arrive in file order.
   bool order_by_sleds = false;
   RankBy rank_by = RankBy::kMean;
 
@@ -288,7 +290,12 @@ struct WcCounts {
 // wc's count over one chunk: the one loop behind both WcApp and the kCount
 // program. A word start is a non-space byte whose previous byte is a space;
 // the chunk's first byte is one only when `in_word` is false, i.e. when the
-// byte before the chunk was a space or there was none.
+// byte before the chunk was a space or there was none. One SSE2 pass: per
+// 16-byte vector a space mask, whose shift by one byte, carried across
+// vectors, marks the word starts; newlines and starts count in byte lanes
+// that are folded into 64-bit sums before any lane can wrap. It prefetches a
+// fixed distance ahead, and the last size % 16 bytes go through a stage
+// padded with spaces, so no load reads past the chunk.
 WcCounts CountWcChunk(std::string_view data, bool in_word);
 
 }  // namespace sled

@@ -3,7 +3,9 @@
 // *identical answers* to plain mode, only faster.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bitset>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -184,6 +186,104 @@ TEST(WcCountTest, SharedCounterMatchesNaiveAtEverySplit) {
     EXPECT_EQ(CountWcChunk(data, /*in_word=*/true).words, expected.words - (starts_word ? 1 : 0));
   }
   EXPECT_TRUE(seen.all());
+}
+
+// An exact-length heap copy of `text` placed `pad` bytes into its allocation,
+// so that ASan flags any load past the end of the copy.
+struct HeapCopy {
+  std::unique_ptr<char[]> bytes;
+  std::string_view view;
+};
+
+HeapCopy ExactCopy(std::string_view text, size_t pad = 0) {
+  HeapCopy copy{std::make_unique<char[]>(pad + text.size()), {}};
+  std::copy(text.begin(), text.end(), copy.bytes.get() + pad);
+  copy.view = std::string_view(copy.bytes.get() + pad, text.size());
+  return copy;
+}
+
+// CountWcChunk over `text`, with both carries, against the state machine.
+::testing::AssertionResult CountsMatchNaive(std::string_view text) {
+  const WcResult expected = NaiveWc(text);
+  const bool starts_word = !text.empty() && !NaiveIsSpace(text.front());
+  for (const bool carry : {false, true}) {
+    const WcCounts c = CountWcChunk(text, carry);
+    const int64_t words = expected.words - (carry && starts_word ? 1 : 0);
+    if (c.lines != expected.lines || c.words != words) {
+      return ::testing::AssertionFailure()
+             << "length " << text.size() << " carry " << carry << ": lines " << c.lines
+             << " (want " << expected.lines << "), words " << c.words << " (want " << words
+             << ")";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+std::string Repeat(std::string_view unit, size_t length) {
+  std::string out;
+  while (out.size() < length) {
+    out += unit;
+  }
+  out.resize(length);
+  return out;
+}
+
+// The vector pass counts in byte lanes and folds them every 63 steps of 64
+// bytes (4032 bytes), before a lane can wrap at 256. All newlines count one
+// in every lane of every vector, and "a " or " a" a word in every other lane,
+// the most a lane can take; 64 KiB crosses sixteen folds.
+TEST(WcCountTest, FullLanesFoldBeforeTheyWrap) {
+  constexpr size_t kFold = 63 * 64;
+  for (const std::string_view unit : {"\n", "a ", " a", "a\n"}) {
+    SCOPED_TRACE(testing::Message() << "unit '" << unit << "'");
+    const HeapCopy full = ExactCopy(Repeat(unit, 64 * kKiB));
+    EXPECT_TRUE(CountsMatchNaive(full.view));
+    for (size_t folds = 1; folds <= 3; ++folds) {
+      for (const int64_t delta : {-17, -16, -15, -1, 0, 1, 15, 16, 17, 63, 64, 65}) {
+        const auto length = static_cast<size_t>(static_cast<int64_t>(folds * kFold) + delta);
+        const HeapCopy copy = ExactCopy(Repeat(unit, length));
+        EXPECT_TRUE(CountsMatchNaive(copy.view));
+      }
+    }
+  }
+}
+
+// Every misalignment of data.data() from a 16-byte boundary, over lengths
+// that end in every lane of a vector and in the staged tail.
+TEST(WcCountTest, EveryAlignmentAndLength) {
+  Rng rng(24);
+  std::bitset<16> offsets;
+  for (size_t length = 0; length <= 160; ++length) {
+    std::string text;
+    for (size_t i = 0; i < length; ++i) {
+      text.push_back(" \n\tab"[rng.Uniform(0, 4)]);
+    }
+    for (size_t pad = 0; pad < 16; ++pad) {
+      const HeapCopy copy = ExactCopy(text, pad);
+      offsets.set(reinterpret_cast<uintptr_t>(copy.view.data()) % 16);
+      ASSERT_TRUE(CountsMatchNaive(copy.view)) << "pad " << pad;
+    }
+  }
+  EXPECT_TRUE(offsets.all());
+}
+
+// The bytes next to the space class, and the class itself, alone in every
+// lane of a vector and of the staged tail, among spaces and among letters.
+TEST(WcCountTest, BytesBesideTheSpaceClassInEveryLane) {
+  constexpr std::string_view kBytes = "\x08\x0e\x1f\x21\x7f\x80\xff \t\n\v\f\r";
+  for (const char background : {' ', 'a', '\t'}) {
+    for (const size_t length : {size_t{16}, size_t{35}}) {
+      for (size_t lane = 0; lane < length; ++lane) {
+        for (const char b : kBytes) {
+          std::string text(length, background);
+          text[lane] = b;
+          const HeapCopy copy = ExactCopy(text);
+          ASSERT_TRUE(CountsMatchNaive(copy.view))
+              << "byte " << static_cast<int>(static_cast<uint8_t>(b)) << " lane " << lane;
+        }
+      }
+    }
+  }
 }
 
 TEST(GrepAppTest, FindsAllMatchesInOrder) {

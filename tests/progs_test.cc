@@ -33,6 +33,7 @@
 #include "src/replica/replicated_fs.h"
 #include "src/workload/chain_gen.h"
 #include "src/workload/fits_gen.h"
+#include "src/workload/testbed.h"
 #include "src/workload/text_gen.h"
 
 namespace sled {
@@ -677,6 +678,41 @@ TEST(ProgsSandboxTest, InstallRejectsInvalidSpecs) {
   // Running with nothing installed is invalid too.
   EXPECT_EQ(w.kernel->RunProgram(*w.proc, fd).error(), Err::kInval);
   EXPECT_TRUE(w.kernel->Close(*w.proc, fd).ok());
+}
+
+// kCount carries its word state from the chunk consumed before, which is the
+// byte before a chunk only in file order. Once an 8 KiB read has cached the
+// pages at 24576, a SLED-ordered plan consumes the chunk starting there, on
+// the space after a word, first, and counted one word too few (37448). So
+// Create refuses it, and the file-order plan counts what CountWcChunk does.
+TEST(ProgsSandboxTest, SledOrderedCountIsRefused) {
+  Testbed tb = MakeTestbed(TestbedConfig{});
+  SimKernel& k = *tb.kernel;
+  Process& p = k.CreateProcess("wc");
+  std::string data;
+  while (data.size() < 256 * kKiB) {
+    data += "abcdef ";
+  }
+  data.resize(256 * kKiB - 3);
+  data += "xy\n";
+  WriteFile(k, p, "/data/words", data);
+  k.DropCaches();
+  const int fd = k.Open(p, "/data/words").value();
+  std::vector<char> buf(8 * kKiB);
+  ASSERT_EQ(data[24576], ' ');
+  ASSERT_TRUE(k.Lseek(p, fd, 24576, Whence::kSet).ok());
+  ASSERT_EQ(k.Read(p, fd, buf).value(), 8 * kKiB);
+
+  ProgSpec spec;
+  spec.kind = ProgKind::kCount;
+  spec.order_by_sleds = true;
+  EXPECT_EQ(k.InstallProgram(p, fd, spec).error(), Err::kInval);
+  spec.order_by_sleds = false;
+  ASSERT_TRUE(k.InstallProgram(p, fd, spec).ok());
+  const ProgResult r = k.RunProgram(p, fd).value();
+  EXPECT_EQ(r.words, 37449);
+  EXPECT_EQ(r.words, CountWcChunk(data, /*in_word=*/false).words);
+  EXPECT_TRUE(k.Close(p, fd).ok());
 }
 
 // ---- timing: deterministic and never slower ----
