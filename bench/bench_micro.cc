@@ -1,15 +1,16 @@
 // Microbenchmarks for the SLEDs hot paths: cache ops, kernel SLED scans,
 // picker stepping, wc's count, grep's search, random draws and text
-// generation, the FITS pixel and row codecs, the histogram loops and
-// fimgbin's boxcar.
+// generation, the FITS pixel and row codecs, the histogram loops,
+// fimgbin's boxcar and the syscall boundary's observer hooks.
 // These bound the CPU overhead the SLEDs machinery adds per I/O.
 //
 // Two layers:
 //  * A wall-clock suite (std::chrono, real time — NOT the simulated clock)
 //    that pits the run-indexed page cache against naive page-at-a-time
 //    replicas of the old algorithms, the FITS row kernels against
-//    one-value-at-a-time replicas and wc's count against its former
-//    block loop, and emits a BENCH_micro.json block.
+//    one-value-at-a-time replicas, wc's count against its former block
+//    loop and the syscall hooks against their former string-keyed
+//    replica, and emits a BENCH_micro.json block.
 //  * The google-benchmark registrations, run afterwards.
 #include <benchmark/benchmark.h>
 
@@ -19,6 +20,7 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <map>
 #include <memory>
 #include <random>
 #include <span>
@@ -449,25 +451,27 @@ void NaiveBin(std::span<const double> values, double lo, double width, std::span
   }
 }
 
-// Best-of-`samples` wall time of `calls` calls each of `naive` and `kernel`,
-// their samples interleaved so that a slow spell of the host meets both. The
-// minimum is robust against scheduler noise.
+// Wall time per call of `naive` and `kernel`, each the best of `samples`
+// samples of `naive_calls` and `kernel_calls` calls, their samples
+// interleaved so that a slow spell of the host meets both. The minimum is
+// robust against scheduler noise.
 template <typename Naive, typename Kernel>
-MicroResult PairedBest(int samples, int calls, Naive&& naive, Kernel&& kernel) {
-  auto repeated = [calls](auto&& f) {
+MicroResult PairedBest(int samples, int naive_calls, int kernel_calls, Naive&& naive,
+                       Kernel&& kernel) {
+  auto repeated = [](auto&& f, int calls) {
     return [&f, calls] {
       for (int c = 0; c < calls; ++c) {
         f();
       }
     };
   };
-  MicroResult r{.naive_us = std::numeric_limits<double>::infinity(),
-                .indexed_us = std::numeric_limits<double>::infinity()};
+  double naive_best = std::numeric_limits<double>::infinity();
+  double kernel_best = std::numeric_limits<double>::infinity();
   for (int s = 0; s < samples; ++s) {
-    r.naive_us = std::min(r.naive_us, WallMicros(repeated(naive)));
-    r.indexed_us = std::min(r.indexed_us, WallMicros(repeated(kernel)));
+    naive_best = std::min(naive_best, WallMicros(repeated(naive, naive_calls)));
+    kernel_best = std::min(kernel_best, WallMicros(repeated(kernel, kernel_calls)));
   }
-  return r;
+  return {.naive_us = naive_best / naive_calls, .indexed_us = kernel_best / kernel_calls};
 }
 
 // Each kernel against its replica over one 16 Ki-pixel run (RunPixels,
@@ -482,7 +486,7 @@ struct KernelResults {
   MicroResult bin;
 };
 
-KernelResults MeasureRowKernels() {
+[[gnu::noinline]] KernelResults MeasureRowKernels() {
   const std::vector<double> pixels = RunPixels();
   std::vector<char> bytes(pixels.size() * 4);
   FitsEncodeRow(pixels, -32, bytes.data());
@@ -494,7 +498,7 @@ KernelResults MeasureRowKernels() {
              "row decode mismatch");
   KernelResults r;
   r.decode = PairedBest(
-      kRowSamples, kRowCalls,
+      kRowSamples, kRowCalls, kRowCalls,
       [&] {
         NaiveDecodeRow(bytes.data(), -32, naive_out);
         benchmark::DoNotOptimize(naive_out.data());
@@ -514,7 +518,7 @@ KernelResults MeasureRowKernels() {
     return std::pair{lo, hi};
   };
   SLED_CHECK(min_max(NaiveMinMax) == min_max(HistogramMinMax), "min/max mismatch");
-  r.minmax = PairedBest(kRowSamples, kRowCalls,
+  r.minmax = PairedBest(kRowSamples, kRowCalls, kRowCalls,
                         [&] { benchmark::DoNotOptimize(min_max(NaiveMinMax)); },
                         [&] { benchmark::DoNotOptimize(min_max(HistogramMinMax)); });
 
@@ -526,7 +530,7 @@ KernelResults MeasureRowKernels() {
   HistogramBin(out, lo, width, bins);
   SLED_CHECK(naive_bins == bins, "histogram bin mismatch");
   r.bin = PairedBest(
-      kRowSamples, kRowCalls,
+      kRowSamples, kRowCalls, kRowCalls,
       [&] {
         NaiveBin(out, lo, width, naive_bins);
         benchmark::DoNotOptimize(naive_bins.data());
@@ -606,7 +610,7 @@ struct WcResults {
   MicroResult stream;
 };
 
-WcResults MeasureWcCount() {
+[[gnu::noinline]] WcResults MeasureWcCount() {
   const std::string text = GeneratedText();
   const std::string buffer = text.substr(0, kDefaultAppBuffer);
   std::string stream;
@@ -622,10 +626,10 @@ WcResults MeasureWcCount() {
              "wc stream count mismatch");
   WcResults r;
   r.in_cache = PairedBest(
-      100, 16, [&] { benchmark::DoNotOptimize(BlockWcChunk(buffer, false)); },
+      100, 16, 16, [&] { benchmark::DoNotOptimize(BlockWcChunk(buffer, false)); },
       [&] { benchmark::DoNotOptimize(CountWcChunk(buffer, false)); });
   r.stream = PairedBest(
-      15, 1, [&] { benchmark::DoNotOptimize(CountInChunks(stream, BlockWcChunk)); },
+      15, 1, 1, [&] { benchmark::DoNotOptimize(CountInChunks(stream, BlockWcChunk)); },
       [&] { benchmark::DoNotOptimize(CountInChunks(stream, CountWcChunk)); });
   return r;
 }
@@ -633,7 +637,7 @@ WcResults MeasureWcCount() {
 // Sparse-file FSLEDS_GET: 32768 pages (128 MiB), half resident in 128-page
 // stripes — a sparsely cached file whose scan is ~256 runs vs 32768 pages.
 // Best of 10 samples of 16 calls: one indexed scan takes about 15 µs.
-MicroResult MeasureSledsGet() {
+[[gnu::noinline]] MicroResult MeasureSledsGet() {
   constexpr int64_t kPages = 32768;
   KernelFixture fx(kPages, /*stripe_period=*/256, /*stripe_len=*/128);
   const OpenFile* of = fx.proc->FindFd(fx.fd);
@@ -651,14 +655,14 @@ MicroResult MeasureSledsGet() {
                "sled %zu mismatch", i);
   }
   return PairedBest(
-      10, 16,
+      10, 16, 16,
       [&] { benchmark::DoNotOptimize(NaiveSledsGet(*fx.kernel, fs_id, ino, fid)); },
       [&] { benchmark::DoNotOptimize(fx.kernel->IoctlSledsGet(*fx.proc, fx.fd).value()); });
 }
 
 // Readahead planning across every miss page of a striped cache, best of 15
 // samples of 4 sweeps.
-MicroResult MeasurePlanRun() {
+[[gnu::noinline]] MicroResult MeasurePlanRun() {
   constexpr int64_t kPages = 1 << 17;
   constexpr int64_t kWindow = 32;
   constexpr FileId kFid = 7;
@@ -676,16 +680,19 @@ MicroResult MeasurePlanRun() {
     return total;
   };
   SLED_CHECK(sweep(NaivePlanRun) == sweep(IndexedPlanRun), "plan-run sweep mismatch");
-  return PairedBest(15, 4,
+  return PairedBest(15, 4, 4,
                     [&] { benchmark::DoNotOptimize(sweep(NaivePlanRun)); },
                     [&] { benchmark::DoNotOptimize(sweep(IndexedPlanRun)); });
 }
 
 // Writeback flush lookup: AllDirtyPages over 100k resident pages with a
 // sparse dirty set, vs the old full-cache scan (replicated on a mirror map).
-// Best of 10 samples of 16 calls: one AllDirtyPages takes a few µs, the
-// replica about 3 ms.
-MicroResult MeasureAllDirty() {
+// One AllDirtyPages takes about 2 µs, the replica about 3 ms, so each sample
+// times 4 replica calls and 128 indexed ones, which outlast the cache misses
+// the replica's pass leaves behind. Best of 10 samples. The replica waits on
+// memory and the index on the core, so the ratio still follows the host's
+// core speed: with 1024 or 4096 indexed calls it spread wider.
+[[gnu::noinline]] MicroResult MeasureAllDirty() {
   constexpr int64_t kFiles = 10;
   constexpr int64_t kPagesPerFile = 10000;
   PageCache cache({.capacity_pages = kFiles * kPagesPerFile});
@@ -710,9 +717,122 @@ MicroResult MeasureAllDirty() {
     return out;
   };
   SLED_CHECK(naive_all_dirty() == cache.AllDirtyPages(), "dirty-set mismatch");
-  return PairedBest(10, 16,
+  return PairedBest(10, 4, 128,
                     [&] { benchmark::DoNotOptimize(naive_all_dirty()); },
                     [&] { benchmark::DoNotOptimize(cache.AllDirtyPages()); });
+}
+
+// Replica of the syscall hooks before the Observer bound its metric slots:
+// the exit builds "syscall." + name and finds it in a string-keyed map, and
+// both hooks copy the name into an 88-byte record that owns it, moved into a
+// ring that wraps with `%`.
+struct OwnedTagRecord {
+  TimePoint at;
+  TraceKind kind = TraceKind::kSyscallEnter;
+  int32_t pid = 0;
+  int32_t level = -1;
+  uint64_t file = 0;
+  int64_t a = 0;
+  int64_t b = 0;
+  Duration dur;
+  std::string tag;
+};
+
+class StringKeyedHooks {
+ public:
+  StringKeyedHooks(const SimClock* clock, size_t capacity) : clock_(clock), capacity_(capacity) {
+    ring_.reserve(capacity_);
+  }
+
+  void SyscallEnter(int pid, std::string_view name) {
+    OwnedTagRecord e;
+    e.at = clock_->Now();
+    e.kind = TraceKind::kSyscallEnter;
+    e.pid = pid;
+    e.tag = name;
+    Push(std::move(e));
+  }
+
+  void SyscallExit(int pid, std::string_view name, Duration latency) {
+    const std::string key = std::string("syscall.").append(name);
+    auto it = histograms_.find(key);
+    if (it == histograms_.end()) {
+      it = histograms_.emplace(key, LatencyHistogram{}).first;
+    }
+    it->second.Record(latency);
+    OwnedTagRecord e;
+    e.at = clock_->Now();
+    e.kind = TraceKind::kSyscallExit;
+    e.pid = pid;
+    e.dur = latency;
+    e.tag = name;
+    Push(std::move(e));
+  }
+
+  const std::map<std::string, LatencyHistogram, std::less<>>& histograms() const {
+    return histograms_;
+  }
+
+ private:
+  void Push(OwnedTagRecord event) {
+    if (ring_.size() < capacity_) {
+      ring_.push_back(std::move(event));
+    } else {
+      ring_[head_] = std::move(event);
+      head_ = (head_ + 1) % capacity_;
+    }
+  }
+
+  const SimClock* clock_;
+  size_t capacity_;
+  std::vector<OwnedTagRecord> ring_;
+  size_t head_ = 0;
+  std::map<std::string, LatencyHistogram, std::less<>> histograms_;
+};
+
+// The replica against Observer::SyscallEnter/SyscallExit, both with the
+// kernel's default 16384-record ring. One call is 1024 enter/exit pairs
+// cycling over every syscall kind; both rings are full before timing, so each
+// push overwrites a record, as in a long run. Best of 100 samples of 4 calls,
+// after checking that both sides count the same latencies per key.
+[[gnu::noinline]] MicroResult MeasureSyscallHooks() {
+  constexpr int kPairs = 1024;
+  constexpr size_t kRing = 16384;
+  SimClock clock;
+  StringKeyedHooks replica(&clock, kRing);
+  Observer obs(&clock, kRing);
+  const auto pairs = [](auto&& hooks) {
+    for (int i = 0; i < kPairs; ++i) {
+      const size_t call = static_cast<size_t>(i) % kSyscallNames.size();
+      hooks(call, Nanoseconds(100 + i % 512));
+    }
+  };
+  const auto naive = [&] {
+    pairs([&](size_t call, Duration latency) {
+      replica.SyscallEnter(1, kSyscallNames[call]);
+      replica.SyscallExit(1, kSyscallNames[call], latency);
+    });
+  };
+  const auto bound = [&] {
+    pairs([&](size_t call, Duration latency) {
+      obs.SyscallEnter(1, static_cast<Syscall>(call));
+      obs.SyscallExit(1, static_cast<Syscall>(call), latency);
+    });
+  };
+  for (size_t filled = 0; filled < kRing; filled += 2 * kPairs) {
+    naive();
+    bound();
+  }
+  const auto counts = [](const std::map<std::string, LatencyHistogram, std::less<>>& hists) {
+    std::map<std::string, int64_t> out;
+    for (const auto& [key, h] : hists) {
+      out[key] = h.count();
+    }
+    return out;
+  };
+  SLED_CHECK(counts(replica.histograms()) == counts(obs.metrics().histograms()),
+             "syscall histogram mismatch");
+  return PairedBest(100, 4, 4, naive, bound);
 }
 
 void RunWallClockSuite() {
@@ -721,11 +841,13 @@ void RunWallClockSuite() {
   const MicroResult dirty = MeasureAllDirty();
   const KernelResults kernels = MeasureRowKernels();
   const WcResults wc = MeasureWcCount();
+  const MicroResult hooks = MeasureSyscallHooks();
   const std::pair<const char*, MicroResult> entries[] = {
       {"sleds_get_sparse_32768p", sleds},        {"readahead_plan_sweep", plan},
       {"all_dirty_pages_100k", dirty},           {"fits_decode_row_16k", kernels.decode},
       {"histogram_minmax_16k", kernels.minmax}, {"histogram_bin_16k", kernels.bin},
-      {"wc_count_64k", wc.in_cache},             {"wc_count_64m", wc.stream}};
+      {"wc_count_64k", wc.in_cache},             {"wc_count_64m", wc.stream},
+      {"syscall_hooks", hooks}};
   std::string json = "{";
   for (const auto& [name, r] : entries) {
     char line[160];

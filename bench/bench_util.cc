@@ -6,6 +6,7 @@
 #include <cstring>
 #include <string_view>
 
+#include "sled_git_sha.h"  // generated at build time (bench/git_sha.cmake)
 #include "src/common/units.h"
 #include "src/shard/shard_runtime.h"
 
@@ -152,11 +153,7 @@ std::string JsonEscape(std::string_view s) {
 // need no provenance — they are machine-independent).
 const std::string& BuildMetadataJson() {
   static const std::string json = [] {
-#ifdef SLEDS_GIT_SHA
     const char* sha = SLEDS_GIT_SHA;
-#else
-    const char* sha = "unknown";
-#endif
 #ifdef SLEDS_BUILD_TYPE
     const char* build_type = SLEDS_BUILD_TYPE;
 #else

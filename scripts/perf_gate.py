@@ -24,14 +24,17 @@ usable core), so the same baseline is meaningful on hosts with different core
 counts. On a host with fewer than 2 hardware threads it is 1 by construction,
 so the gate skips the shard entries there and prints why. One bench_shard or
 bench_scale run is too noisy to be a baseline, nor is one run of bench_micro:
-its cache-index entries (`sleds_get_sparse_32768p`, `readahead_plan_sweep`,
-`all_dirty_pages_100k`), row-kernel entries (`fits_decode_row_16k`,
-`histogram_minmax_16k`, `histogram_bin_16k`) and wc-count entries
-(`wc_count_64k`, `wc_count_64m`) each time interleaved samples of both
-sides, yet still move from run to run. After --refresh, set `benches.shard`,
-`benches.scale` and `benches.micro` to the median of at least 10 runs of
-their bench, and leave out any entry whose lowest run falls below its
-median * TOLERANCE (that entry would fail unchanged code).
+its cache-index entries (`sleds_get_sparse_32768p`, `readahead_plan_sweep`),
+row-kernel entries (`fits_decode_row_16k`, `histogram_minmax_16k`,
+`histogram_bin_16k`), wc-count entries (`wc_count_64k`, `wc_count_64m`) and
+syscall-boundary entry (`syscall_hooks`) each time interleaved samples of
+both sides, yet still move from run to run. After --refresh, set
+`benches.shard`, `benches.scale` and `benches.micro` to the median of at
+least 10 runs of their bench, and leave out any entry whose lowest run falls
+below its median * TOLERANCE (that entry would fail unchanged code).
+bench_micro's `all_dirty_pages_100k` is left out so: its replica waits on
+memory and its index on the core, so its ratio follows the host's core speed
+(1199-2492x over 20 runs).
 
 Accuracy mode (`--accuracy <json_dir>`) gates the `error` fields of
 BENCH_estimate_accuracy.json (estimate-vs-access MAPE and end-to-end bias,

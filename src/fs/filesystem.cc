@@ -52,7 +52,7 @@ Result<InodeNum> FileSystem::Lookup(InodeNum dir, std::string_view child) const 
   if (!d->is_dir) {
     return Err::kNotDir;
   }
-  auto it = d->children.find(std::string(child));
+  auto it = d->children.find(child);
   if (it == d->children.end()) {
     return Err::kNoEnt;
   }
@@ -68,7 +68,7 @@ Result<InodeNum> FileSystem::CreateNode(InodeNum dir, std::string_view child, bo
   if (!d->is_dir) {
     return Err::kNotDir;
   }
-  if (d->children.contains(std::string(child))) {
+  if (d->children.contains(child)) {
     return Err::kExist;
   }
   const InodeNum ino = next_ino_++;
@@ -94,7 +94,7 @@ Result<void> FileSystem::Unlink(InodeNum dir, std::string_view child) {
   if (!d->is_dir) {
     return Err::kNotDir;
   }
-  auto it = d->children.find(std::string(child));
+  auto it = d->children.find(child);
   if (it == d->children.end()) {
     return Err::kNoEnt;
   }

@@ -15,6 +15,7 @@
 #define SLEDS_SRC_FS_FILESYSTEM_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <span>
 #include <string>
@@ -174,7 +175,7 @@ class FileSystem {
   struct Inode {
     bool is_dir = false;
     std::string data;                        // file contents
-    std::map<std::string, InodeNum> children;  // directory entries (sorted)
+    std::map<std::string, InodeNum, std::less<>> children;  // directory entries (sorted)
   };
 
   Result<const Inode*> FindInode(InodeNum ino) const;

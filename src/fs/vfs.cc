@@ -7,11 +7,13 @@
 
 namespace sled {
 
-Result<std::vector<std::string>> Vfs::SplitPath(std::string_view path) {
+Result<std::vector<std::string_view>> Vfs::SplitPath(std::string_view path) {
   if (path.empty() || path[0] != '/') {
     return Err::kInval;
   }
-  std::vector<std::string> components;
+  // Every component follows a slash, so this is the only allocation.
+  std::vector<std::string_view> components;
+  components.reserve(static_cast<size_t>(std::count(path.begin(), path.end(), '/')));
   size_t i = 1;
   while (i <= path.size()) {
     size_t j = path.find('/', i);
@@ -26,16 +28,14 @@ Result<std::vector<std::string>> Vfs::SplitPath(std::string_view path) {
         components.pop_back();
       }
     } else {
-      components.emplace_back(part);
+      components.push_back(part);
     }
     i = j + 1;
   }
   return components;
 }
 
-Result<uint32_t> Vfs::Mount(std::string path, std::unique_ptr<FileSystem> fs) {
-  SLED_CHECK(fs != nullptr, "Mount of null file system");
-  SLED_ASSIGN_OR_RETURN(std::vector<std::string> components, SplitPath(path));
+std::string Vfs::JoinPath(const std::vector<std::string_view>& components) {
   std::string normalized = "/";
   for (size_t i = 0; i < components.size(); ++i) {
     normalized += components[i];
@@ -43,14 +43,23 @@ Result<uint32_t> Vfs::Mount(std::string path, std::unique_ptr<FileSystem> fs) {
       normalized += '/';
     }
   }
+  return normalized;
+}
+
+Result<uint32_t> Vfs::Mount(std::string path, std::unique_ptr<FileSystem> fs) {
+  SLED_CHECK(fs != nullptr, "Mount of null file system");
+  SLED_ASSIGN_OR_RETURN(std::vector<std::string_view> components, SplitPath(path));
+  std::string normalized = JoinPath(components);
   for (const MountEntry& m : mounts_) {
     if (m.path == normalized) {
       return Err::kExist;
     }
   }
+  const uint32_t fs_id = next_fs_id_++;
   MountEntry entry;
-  entry.path = normalized;
-  entry.fs_id = next_fs_id_++;
+  entry.path = std::move(normalized);
+  entry.components.assign(components.begin(), components.end());
+  entry.fs_id = fs_id;
   entry.fs = std::move(fs);
   if (obs_ != nullptr) {
     entry.fs->AttachObserver(obs_);
@@ -59,93 +68,60 @@ Result<uint32_t> Vfs::Mount(std::string path, std::unique_ptr<FileSystem> fs) {
   // Longest paths first so prefix matching finds the deepest mount.
   std::sort(mounts_.begin(), mounts_.end(),
             [](const MountEntry& a, const MountEntry& b) { return a.path.size() > b.path.size(); });
-  for (const MountEntry& m : mounts_) {
-    if (m.path == normalized) {
-      return m.fs_id;
-    }
-  }
-  return Err::kIo;  // unreachable
+  return fs_id;
 }
 
-const Vfs::MountEntry* Vfs::FindMount(const std::vector<std::string>& components,
-                                      size_t* consumed) const {
+Result<Vfs::Resolved> Vfs::Walk(std::span<const std::string_view> components) const {
+  // The first mount whose components prefix the path's is the deepest one:
+  // mounts_ runs longest path first.
   for (const MountEntry& m : mounts_) {
-    // Split the mount path into components for comparison.
-    std::vector<std::string> mcomp;
-    if (m.path != "/") {
-      size_t i = 1;
-      while (i <= m.path.size()) {
-        size_t j = m.path.find('/', i);
-        if (j == std::string::npos) {
-          j = m.path.size();
-        }
-        mcomp.emplace_back(m.path.substr(i, j - i));
-        i = j + 1;
-      }
-    }
-    if (mcomp.size() > components.size()) {
+    if (m.components.size() > components.size() ||
+        !std::equal(m.components.begin(), m.components.end(), components.begin())) {
       continue;
     }
-    if (std::equal(mcomp.begin(), mcomp.end(), components.begin())) {
-      *consumed = mcomp.size();
-      return &m;
+    Resolved r{m.fs.get(), m.fs_id, m.fs->root()};
+    for (size_t i = m.components.size(); i < components.size(); ++i) {
+      SLED_ASSIGN_OR_RETURN(r.ino, r.fs->Lookup(r.ino, components[i]));
     }
+    return r;
   }
-  return nullptr;
+  return Err::kNoEnt;
 }
 
 Result<Vfs::Resolved> Vfs::Resolve(std::string_view path) const {
   if (obs_ != nullptr) {
     obs_->VfsResolve();
   }
-  SLED_ASSIGN_OR_RETURN(std::vector<std::string> components, SplitPath(path));
-  size_t consumed = 0;
-  const MountEntry* mount = FindMount(components, &consumed);
-  if (mount == nullptr) {
-    return Err::kNoEnt;
-  }
-  Resolved r{mount->fs.get(), mount->fs_id, mount->fs->root()};
-  for (size_t i = consumed; i < components.size(); ++i) {
-    SLED_ASSIGN_OR_RETURN(r.ino, r.fs->Lookup(r.ino, components[i]));
-  }
-  return r;
+  SLED_ASSIGN_OR_RETURN(std::vector<std::string_view> components, SplitPath(path));
+  return Walk(components);
 }
 
-Result<Vfs::Resolved> Vfs::ResolveParent(std::string_view path, std::string* leaf) const {
-  SLED_ASSIGN_OR_RETURN(std::vector<std::string> components, SplitPath(path));
+Result<Vfs::Resolved> Vfs::ResolveParent(std::string_view path, std::string_view* leaf) const {
+  SLED_ASSIGN_OR_RETURN(std::vector<std::string_view> components, SplitPath(path));
   if (components.empty()) {
     return Err::kInval;  // cannot create/unlink the root
   }
   *leaf = components.back();
   components.pop_back();
-  size_t consumed = 0;
-  const MountEntry* mount = FindMount(components, &consumed);
-  if (mount == nullptr) {
-    return Err::kNoEnt;
-  }
-  Resolved r{mount->fs.get(), mount->fs_id, mount->fs->root()};
-  for (size_t i = consumed; i < components.size(); ++i) {
-    SLED_ASSIGN_OR_RETURN(r.ino, r.fs->Lookup(r.ino, components[i]));
-  }
-  return r;
+  return Walk(components);
 }
 
 Result<Vfs::Resolved> Vfs::CreateFile(std::string_view path) {
-  std::string leaf;
+  std::string_view leaf;
   SLED_ASSIGN_OR_RETURN(Resolved parent, ResolveParent(path, &leaf));
   SLED_ASSIGN_OR_RETURN(InodeNum ino, parent.fs->CreateFile(parent.ino, leaf));
   return Resolved{parent.fs, parent.fs_id, ino};
 }
 
 Result<Vfs::Resolved> Vfs::CreateDir(std::string_view path) {
-  std::string leaf;
+  std::string_view leaf;
   SLED_ASSIGN_OR_RETURN(Resolved parent, ResolveParent(path, &leaf));
   SLED_ASSIGN_OR_RETURN(InodeNum ino, parent.fs->CreateDir(parent.ino, leaf));
   return Resolved{parent.fs, parent.fs_id, ino};
 }
 
 Result<void> Vfs::Unlink(std::string_view path) {
-  std::string leaf;
+  std::string_view leaf;
   SLED_ASSIGN_OR_RETURN(Resolved parent, ResolveParent(path, &leaf));
   return parent.fs->Unlink(parent.ino, leaf);
 }
@@ -160,14 +136,8 @@ Result<std::vector<DirEntry>> Vfs::List(std::string_view path) const {
   SLED_ASSIGN_OR_RETURN(std::vector<DirEntry> entries, r.fs->List(r.ino));
   // Mount points that are direct children of this directory appear in the
   // listing (as directories), exactly as on a real system.
-  SLED_ASSIGN_OR_RETURN(std::vector<std::string> components, SplitPath(path));
-  std::string normalized = "/";
-  for (size_t i = 0; i < components.size(); ++i) {
-    normalized += components[i];
-    if (i + 1 < components.size()) {
-      normalized += '/';
-    }
-  }
+  SLED_ASSIGN_OR_RETURN(std::vector<std::string_view> components, SplitPath(path));
+  const std::string normalized = JoinPath(components);
   const std::string prefix = normalized == "/" ? "/" : normalized + "/";
   for (const MountEntry& m : mounts_) {
     if (m.path.size() <= prefix.size() || m.path.compare(0, prefix.size(), prefix) != 0) {

@@ -7,6 +7,7 @@
 
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -39,8 +40,8 @@ class Vfs {
   Result<Resolved> Resolve(std::string_view path) const;
 
   // Resolve the parent directory of `path`, returning the final component in
-  // *leaf (for create/unlink).
-  Result<Resolved> ResolveParent(std::string_view path, std::string* leaf) const;
+  // *leaf (for create/unlink), a view into `path`.
+  Result<Resolved> ResolveParent(std::string_view path, std::string_view* leaf) const;
 
   // ---- path-level conveniences ----
   Result<Resolved> CreateFile(std::string_view path);
@@ -66,15 +67,19 @@ class Vfs {
 
  private:
   struct MountEntry {
-    std::string path;  // normalized, no trailing slash except root
+    std::string path;                     // normalized, no trailing slash except root
+    std::vector<std::string> components;  // of `path`, split once at Mount
     uint32_t fs_id = 0;
     std::unique_ptr<FileSystem> fs;
   };
 
-  // Split into normalized components, resolving "." and "..".
-  static Result<std::vector<std::string>> SplitPath(std::string_view path);
-  const MountEntry* FindMount(const std::vector<std::string>& components,
-                              size_t* consumed) const;
+  // Split into normalized components, resolving "." and "..": views into
+  // `path`, in one allocation.
+  static Result<std::vector<std::string_view>> SplitPath(std::string_view path);
+  static std::string JoinPath(const std::vector<std::string_view>& components);
+  // The deepest mount whose components prefix `components`, and the inode
+  // the rest of them name on it.
+  Result<Resolved> Walk(std::span<const std::string_view> components) const;
 
   std::vector<MountEntry> mounts_;
   uint32_t next_fs_id_ = 1;

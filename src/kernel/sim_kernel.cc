@@ -176,10 +176,10 @@ void SimKernel::CompleteIo(const IoRequest& part, TimePoint done, bool ok) {
 // return path of every syscall is covered.
 class SimKernel::SyscallScope {
  public:
-  SyscallScope(SimKernel& k, Process& p, const char* name)
-      : k_(k), p_(p), name_(name), entered_(k.clock_.Now()) {
+  SyscallScope(SimKernel& k, Process& p, Syscall call)
+      : k_(k), p_(p), call_(call), entered_(k.clock_.Now()) {
     ++p_.stats().syscalls;
-    k_.obs_.SyscallEnter(p_.pid(), name_);
+    k_.obs_.SyscallEnter(p_.pid(), call_);
     k_.ChargeCpu(p_, k_.config_.costs.syscall_overhead);
     if (k_.engine_on()) {
       // Kernel entry is where elapsed CPU time becomes visible to the I/O
@@ -188,7 +188,7 @@ class SimKernel::SyscallScope {
       k_.HarvestArrivals();
     }
   }
-  ~SyscallScope() { k_.obs_.SyscallExit(p_.pid(), name_, k_.clock_.Now() - entered_); }
+  ~SyscallScope() { k_.obs_.SyscallExit(p_.pid(), call_, k_.clock_.Now() - entered_); }
 
   SyscallScope(const SyscallScope&) = delete;
   SyscallScope& operator=(const SyscallScope&) = delete;
@@ -196,7 +196,7 @@ class SimKernel::SyscallScope {
  private:
   SimKernel& k_;
   Process& p_;
-  const char* name_;
+  Syscall call_;
   TimePoint entered_;
 };
 
@@ -288,7 +288,7 @@ void SimKernel::HandleWritebackFailure(const IoRequest& part, TimePoint done) {
 }
 
 Result<int> SimKernel::Open(Process& p, std::string_view path) {
-  SyscallScope sys(*this, p, "open");
+  SyscallScope sys(*this, p, Syscall::kOpen);
   SLED_ASSIGN_OR_RETURN(Vfs::Resolved r, vfs_.Resolve(path));
   SLED_ASSIGN_OR_RETURN(InodeAttr attr, r.fs->GetAttr(r.ino));
   if (attr.is_dir) {
@@ -302,7 +302,7 @@ Result<int> SimKernel::Open(Process& p, std::string_view path) {
 }
 
 Result<int> SimKernel::Create(Process& p, std::string_view path) {
-  SyscallScope sys(*this, p, "creat");
+  SyscallScope sys(*this, p, Syscall::kCreat);
   Vfs::Resolved r;
   auto existing = vfs_.Resolve(path);
   if (existing.ok()) {
@@ -329,7 +329,7 @@ Result<int> SimKernel::Create(Process& p, std::string_view path) {
 }
 
 Result<void> SimKernel::Close(Process& p, int fd) {
-  SyscallScope sys(*this, p, "close");
+  SyscallScope sys(*this, p, Syscall::kClose);
   OpenFile* of = p.FindFd(fd);
   if (of == nullptr) {
     return Err::kBadF;
@@ -553,7 +553,7 @@ Result<void> SimKernel::FaultRange(Process& p, OpenFile& of, int64_t first, int6
 }
 
 Result<int64_t> SimKernel::Read(Process& p, int fd, std::span<char> dst) {
-  SyscallScope sys(*this, p, "read");
+  SyscallScope sys(*this, p, Syscall::kRead);
   SLED_ASSIGN_OR_RETURN(OpenFile * of, FdOf(p, fd));
   FileSystem* fs = FsOf(*of);
   const int64_t size = fs->SizeOf(of->ino);
@@ -584,7 +584,7 @@ Result<int64_t> SimKernel::Read(Process& p, int fd, std::span<char> dst) {
 
 Result<std::string_view> SimKernel::MmapRead(Process& p, int fd, int64_t offset,
                                              int64_t length) {
-  SyscallScope sys(*this, p, "mmap_read");
+  SyscallScope sys(*this, p, Syscall::kMmapRead);
   SLED_ASSIGN_OR_RETURN(OpenFile * of, FdOf(p, fd));
   FileSystem* fs = FsOf(*of);
   const int64_t size = fs->SizeOf(of->ino);
@@ -604,7 +604,7 @@ Result<std::string_view> SimKernel::MmapRead(Process& p, int fd, int64_t offset,
 }
 
 Result<int64_t> SimKernel::InstallProgram(Process& p, int fd, const ProgSpec& spec) {
-  SyscallScope sys(*this, p, "prog_install");
+  SyscallScope sys(*this, p, Syscall::kProgInstall);
   SLED_ASSIGN_OR_RETURN(OpenFile * of, FdOf(p, fd));
   SLED_ASSIGN_OR_RETURN(CompletionProgram prog, CompletionProgram::Create(spec));
   if (of->prog >= 0) {
@@ -618,7 +618,7 @@ Result<int64_t> SimKernel::InstallProgram(Process& p, int fd, const ProgSpec& sp
 }
 
 Result<ProgResult> SimKernel::RunProgram(Process& p, int fd) {
-  SyscallScope sys(*this, p, "prog_run");
+  SyscallScope sys(*this, p, Syscall::kProgRun);
   SLED_ASSIGN_OR_RETURN(OpenFile * of, FdOf(p, fd));
   auto it = of->prog < 0 ? progs_.end() : progs_.find(of->prog);
   if (it == progs_.end()) {
@@ -714,7 +714,7 @@ Result<ProgResult> SimKernel::RunProgram(Process& p, int fd) {
 }
 
 Result<int64_t> SimKernel::Write(Process& p, int fd, std::span<const char> src) {
-  SyscallScope sys(*this, p, "write");
+  SyscallScope sys(*this, p, Syscall::kWrite);
   SLED_ASSIGN_OR_RETURN(OpenFile * of, FdOf(p, fd));
   FileSystem* fs = FsOf(*of);
   if (src.empty()) {
@@ -763,7 +763,7 @@ Result<int64_t> SimKernel::Write(Process& p, int fd, std::span<const char> src) 
 }
 
 Result<int64_t> SimKernel::Lseek(Process& p, int fd, int64_t offset, Whence whence) {
-  SyscallScope sys(*this, p, "lseek");
+  SyscallScope sys(*this, p, Syscall::kLseek);
   SLED_ASSIGN_OR_RETURN(OpenFile * of, FdOf(p, fd));
   FileSystem* fs = FsOf(*of);
   int64_t base = 0;
@@ -787,13 +787,13 @@ Result<int64_t> SimKernel::Lseek(Process& p, int fd, int64_t offset, Whence when
 }
 
 Result<InodeAttr> SimKernel::Stat(Process& p, std::string_view path) {
-  SyscallScope sys(*this, p, "stat");
+  SyscallScope sys(*this, p, Syscall::kStat);
   SLED_ASSIGN_OR_RETURN(Vfs::Resolved r, vfs_.Resolve(path));
   return r.fs->GetAttr(r.ino);
 }
 
 Result<InodeAttr> SimKernel::Fstat(Process& p, int fd) {
-  SyscallScope sys(*this, p, "fstat");
+  SyscallScope sys(*this, p, Syscall::kFstat);
   SLED_ASSIGN_OR_RETURN(OpenFile * of, FdOf(p, fd));
   FileSystem* fs = FsOf(*of);
   // Attribute fetches need the server: inside a down window the caller sees
@@ -805,12 +805,12 @@ Result<InodeAttr> SimKernel::Fstat(Process& p, int fd) {
 }
 
 Result<std::vector<DirEntry>> SimKernel::ReadDir(Process& p, std::string_view path) {
-  SyscallScope sys(*this, p, "readdir");
+  SyscallScope sys(*this, p, Syscall::kReaddir);
   return vfs_.List(path);
 }
 
 Result<void> SimKernel::Unlink(Process& p, std::string_view path) {
-  SyscallScope sys(*this, p, "unlink");
+  SyscallScope sys(*this, p, Syscall::kUnlink);
   SLED_ASSIGN_OR_RETURN(Vfs::Resolved r, vfs_.Resolve(path));
   const FileId fid = Vfs::MakeFileId(r.fs_id, r.ino);
   CancelFileIo(fid, 0);
@@ -821,7 +821,7 @@ Result<void> SimKernel::Unlink(Process& p, std::string_view path) {
 }
 
 Result<void> SimKernel::Ftruncate(Process& p, int fd, int64_t size) {
-  SyscallScope sys(*this, p, "ftruncate");
+  SyscallScope sys(*this, p, Syscall::kFtruncate);
   SLED_ASSIGN_OR_RETURN(OpenFile * of, FdOf(p, fd));
   FileSystem* fs = FsOf(*of);
   SLED_RETURN_IF_ERROR(fs->Truncate(of->ino, size));
@@ -837,7 +837,7 @@ Result<void> SimKernel::Ftruncate(Process& p, int fd, int64_t size) {
 }
 
 Result<void> SimKernel::Fsync(Process& p, int fd) {
-  SyscallScope sys(*this, p, "fsync");
+  SyscallScope sys(*this, p, Syscall::kFsync);
   SLED_ASSIGN_OR_RETURN(OpenFile * of, FdOf(p, fd));
   FileSystem* fs = FsOf(*of);
   const std::vector<PageKey> dirty = cache_.DirtyPagesOf(of->fid);
@@ -1068,7 +1068,7 @@ Result<Duration> SimKernel::FlushWriteback(Process* p, bool force) {
 }
 
 Result<void> SimKernel::IoctlSledsFill(Process& p, int level, DeviceCharacteristics chars) {
-  SyscallScope sys(*this, p, "ioctl_sleds_fill");
+  SyscallScope sys(*this, p, Syscall::kIoctlSledsFill);
   return sleds_table_.Fill(level, chars);
 }
 
@@ -1173,7 +1173,7 @@ Result<SledVector> SimKernel::BuildSleds(Process& p, const OpenFile& of, int64_t
 }
 
 Result<SledVector> SimKernel::IoctlSledsGet(Process& p, int fd, RankBy route_rank) {
-  SyscallScope sys(*this, p, "ioctl_sleds_get");
+  SyscallScope sys(*this, p, Syscall::kIoctlSledsGet);
   SLED_ASSIGN_OR_RETURN(OpenFile * of, FdOf(p, fd));
   FileSystem* fs = FsOf(*of);
   const int64_t size = fs->SizeOf(of->ino);
@@ -1182,7 +1182,7 @@ Result<SledVector> SimKernel::IoctlSledsGet(Process& p, int fd, RankBy route_ran
 
 Result<SledVector> SimKernel::IoctlSledsGet(Process& p, int fd, int64_t offset, int64_t length,
                                             RankBy route_rank) {
-  SyscallScope sys(*this, p, "ioctl_sleds_get");
+  SyscallScope sys(*this, p, Syscall::kIoctlSledsGet);
   SLED_ASSIGN_OR_RETURN(OpenFile * of, FdOf(p, fd));
   if (!RangeInBounds(offset, length)) {
     return Err::kInval;
@@ -1197,7 +1197,7 @@ Result<SledVector> SimKernel::IoctlSledsGet(Process& p, int fd, int64_t offset, 
 }
 
 Result<int64_t> SimKernel::IoctlSledsLock(Process& p, int fd, int64_t offset, int64_t length) {
-  SyscallScope sys(*this, p, "ioctl_sleds_lock");
+  SyscallScope sys(*this, p, Syscall::kIoctlSledsLock);
   SLED_ASSIGN_OR_RETURN(OpenFile * of, FdOf(p, fd));
   if (length <= 0 || !RangeInBounds(offset, length)) {
     return Err::kInval;
@@ -1235,7 +1235,7 @@ Result<int64_t> SimKernel::IoctlSledsLock(Process& p, int fd, int64_t offset, in
 }
 
 Result<int64_t> SimKernel::IoctlSledsUnlock(Process& p, int fd, int64_t offset, int64_t length) {
-  SyscallScope sys(*this, p, "ioctl_sleds_unlock");
+  SyscallScope sys(*this, p, Syscall::kIoctlSledsUnlock);
   SLED_ASSIGN_OR_RETURN(OpenFile * of, FdOf(p, fd));
   if (offset < 0 || length == 0 || (length > 0 && !RangeInBounds(offset, length))) {
     return Err::kInval;

@@ -96,13 +96,20 @@ Duration LatencyHistogram::Quantile(double q) const {
   return max_;
 }
 
-void MetricRegistry::Add(std::string_view counter, int64_t delta) {
+int64_t& MetricRegistry::CounterSlot(std::string_view counter) {
   auto it = counters_.find(counter);
   if (it == counters_.end()) {
-    counters_.emplace(std::string(counter), delta);
-  } else {
-    it->second += delta;
+    it = counters_.emplace(std::string(counter), 0).first;
   }
+  return it->second;
+}
+
+LatencyHistogram& MetricRegistry::HistogramSlot(std::string_view histogram) {
+  auto it = histograms_.find(histogram);
+  if (it == histograms_.end()) {
+    it = histograms_.emplace(std::string(histogram), LatencyHistogram{}).first;
+  }
+  return it->second;
 }
 
 void MetricRegistry::SetGauge(std::string_view gauge, int64_t value) {
@@ -112,14 +119,6 @@ void MetricRegistry::SetGauge(std::string_view gauge, int64_t value) {
   } else {
     it->second = value;
   }
-}
-
-void MetricRegistry::Observe(std::string_view histogram, Duration d) {
-  auto it = histograms_.find(histogram);
-  if (it == histograms_.end()) {
-    it = histograms_.emplace(std::string(histogram), LatencyHistogram{}).first;
-  }
-  it->second.Record(d);
 }
 
 void MetricRegistry::MergeFrom(const MetricRegistry& other) {
@@ -137,11 +136,7 @@ void MetricRegistry::MergeFrom(const MetricRegistry& other) {
     }
   }
   for (const auto& [name, h] : other.histograms_) {
-    auto it = histograms_.find(name);
-    if (it == histograms_.end()) {
-      it = histograms_.emplace(name, LatencyHistogram{}).first;
-    }
-    it->second.MergeFrom(h);
+    HistogramSlot(name).MergeFrom(h);
   }
 }
 
@@ -239,12 +234,6 @@ std::string MetricRegistry::ToCsv() const {
     out += "\n";
   }
   return out;
-}
-
-void MetricRegistry::Reset() {
-  counters_.clear();
-  gauges_.clear();
-  histograms_.clear();
 }
 
 }  // namespace sled

@@ -67,8 +67,15 @@ class LatencyHistogram {
 // ordered map so exports list keys in sorted order, deterministically.
 class MetricRegistry {
  public:
-  void Add(std::string_view counter, int64_t delta = 1);
-  void Observe(std::string_view histogram, Duration d);
+  // Find-or-insert: the value in the key's map node, inserted as 0 or an
+  // empty histogram. Map nodes never move and no key is ever erased, so a
+  // hot hook may keep the reference for the registry's lifetime. A key
+  // exports as soon as it exists, so bind it at its first record.
+  int64_t& CounterSlot(std::string_view counter);
+  LatencyHistogram& HistogramSlot(std::string_view histogram);
+
+  void Add(std::string_view counter, int64_t delta = 1) { CounterSlot(counter) += delta; }
+  void Observe(std::string_view histogram, Duration d) { HistogramSlot(histogram).Record(d); }
   // Last-value gauge ("io.disk.depth"). Exported in a separate JSON section
   // that is omitted entirely while no gauge exists, so subsystems that never
   // set one keep their exports byte-identical.
@@ -98,8 +105,6 @@ class MetricRegistry {
   //   counter,<name>,<value>
   //   histogram,<name>,<count>,<sum_ns>,<min_ns>,<max_ns>,<p50_ns>,<p95_ns>,<p99_ns>
   std::string ToCsv() const;
-
-  void Reset();
 
  private:
   std::map<std::string, int64_t, std::less<>> counters_;

@@ -53,24 +53,38 @@ std::string Observer::LevelKey(int level, std::string_view suffix) const {
   return key;
 }
 
-void Observer::SyscallEnter(int pid, const char* name) {
+std::string_view Observer::TagName(std::string_view name) {
+  auto it = tag_names_.find(name);
+  if (it == tag_names_.end()) {
+    it = tag_names_.emplace(name).first;
+  }
+  return *it;
+}
+
+void Observer::SyscallEnter(int pid, Syscall call) {
   TraceRecord e;
   e.at = clock_->Now();
   e.kind = TraceKind::kSyscallEnter;
   e.pid = pid;
-  e.tag = name;
-  trace_.Push(std::move(e));
+  e.tag = SyscallName(call);
+  trace_.Push(e);
 }
 
-void Observer::SyscallExit(int pid, const char* name, Duration latency) {
-  metrics_.Observe(std::string("syscall.") + name, latency);
+void Observer::SyscallExit(int pid, Syscall call, Duration latency) {
+  LatencyHistogram*& histogram = syscall_latency_[static_cast<size_t>(call)];
+  if (histogram == nullptr) {
+    std::string key = "syscall.";
+    key += SyscallName(call);
+    histogram = &metrics_.HistogramSlot(key);
+  }
+  histogram->Record(latency);
   TraceRecord e;
   e.at = clock_->Now();
   e.kind = TraceKind::kSyscallExit;
   e.pid = pid;
   e.dur = latency;
-  e.tag = name;
-  trace_.Push(std::move(e));
+  e.tag = SyscallName(call);
+  trace_.Push(e);
 }
 
 void Observer::PageIn(int pid, uint64_t file, int64_t first_page, int64_t pages, int level,
@@ -91,7 +105,7 @@ void Observer::PageIn(int pid, uint64_t file, int64_t first_page, int64_t pages,
   e.a = first_page;
   e.b = pages;
   e.dur = device_time;
-  trace_.Push(std::move(e));
+  trace_.Push(e);
 }
 
 void Observer::Readahead(int pid, uint64_t file, int64_t first_page, int64_t pages) {
@@ -104,7 +118,7 @@ void Observer::Readahead(int pid, uint64_t file, int64_t first_page, int64_t pag
   e.file = file;
   e.a = first_page;
   e.b = pages;
-  trace_.Push(std::move(e));
+  trace_.Push(e);
 }
 
 void Observer::WritebackQueued(uint64_t file, int64_t page) {
@@ -114,7 +128,7 @@ void Observer::WritebackQueued(uint64_t file, int64_t page) {
   e.kind = TraceKind::kWritebackQueue;
   e.file = file;
   e.a = page;
-  trace_.Push(std::move(e));
+  trace_.Push(e);
 }
 
 void Observer::WritebackFlush(int pid, int64_t pages, int64_t runs, Duration device_time) {
@@ -129,7 +143,7 @@ void Observer::WritebackFlush(int pid, int64_t pages, int64_t runs, Duration dev
   e.a = pages;
   e.b = runs;
   e.dur = device_time;
-  trace_.Push(std::move(e));
+  trace_.Push(e);
 }
 
 void Observer::DeviceTransfer(std::string_view device, bool write, int64_t offset, int64_t nbytes,
@@ -156,8 +170,8 @@ void Observer::DeviceTransfer(std::string_view device, bool write, int64_t offse
   e.a = offset;
   e.b = nbytes;
   e.dur = service_time;
-  e.tag = std::string(device);
-  trace_.Push(std::move(e));
+  e.tag = TagName(device);
+  trace_.Push(e);
 }
 
 void Observer::SledScan(int pid, uint64_t file, int64_t pages, int64_t runs) {
@@ -173,10 +187,15 @@ void Observer::SledScan(int pid, uint64_t file, int64_t pages, int64_t runs) {
   e.file = file;
   e.a = runs;
   e.b = pages;
-  trace_.Push(std::move(e));
+  trace_.Push(e);
 }
 
-void Observer::VfsResolve() { metrics_.Add("vfs.resolves"); }
+void Observer::VfsResolve() {
+  if (vfs_resolves_ == nullptr) {
+    vfs_resolves_ = &metrics_.CounterSlot("vfs.resolves");
+  }
+  ++*vfs_resolves_;
+}
 
 void Observer::CacheGauges(int64_t size_pages, int64_t capacity_pages, int64_t pinned_pages,
                            int64_t in_flight_pages, int64_t dirty_pages,
@@ -206,9 +225,9 @@ void Observer::IoSubmit(int pid, std::string_view queue, uint64_t file, int64_t 
   e.file = file;
   e.a = first_page;
   e.b = pages;
-  e.tag = std::string(queue);
+  e.tag = TagName(queue);
   e.level = write ? 1 : 0;  // repurposed: 1 = write request
-  trace_.Push(std::move(e));
+  trace_.Push(e);
 }
 
 void Observer::IoDispatch(std::string_view queue, int64_t pages, int64_t parts, int64_t depth,
@@ -235,8 +254,8 @@ void Observer::IoDispatch(std::string_view queue, int64_t pages, int64_t parts, 
   e.a = pages;
   e.b = parts;
   e.dur = service_time;
-  e.tag = std::string(queue);
-  trace_.Push(std::move(e));
+  e.tag = TagName(queue);
+  trace_.Push(e);
 }
 
 void Observer::IoWait(int pid, uint64_t file, Duration waited) {
@@ -248,7 +267,7 @@ void Observer::IoWait(int pid, uint64_t file, Duration waited) {
   e.pid = pid;
   e.file = file;
   e.dur = waited;
-  trace_.Push(std::move(e));
+  trace_.Push(e);
 }
 
 void Observer::DeviceError(std::string_view device, bool write, Err error) {
@@ -260,10 +279,11 @@ void Observer::DeviceError(std::string_view device, bool write, Err error) {
   e.at = clock_->Now();
   e.kind = TraceKind::kDeviceError;
   e.level = write ? 1 : 0;  // repurposed: 1 = write op
-  e.tag = std::string(device);
-  e.tag += ':';
-  e.tag += ErrName(error);
-  trace_.Push(std::move(e));
+  std::string tag(device);
+  tag += ':';
+  tag += ErrName(error);
+  e.tag = TagName(tag);
+  trace_.Push(e);
 }
 
 void Observer::IoRetry(int pid, uint64_t file, int attempt, Err error) {
@@ -274,8 +294,8 @@ void Observer::IoRetry(int pid, uint64_t file, int attempt, Err error) {
   e.pid = pid;
   e.file = file;
   e.a = attempt;
-  e.tag = ErrName(error);
-  trace_.Push(std::move(e));
+  e.tag = ErrName(error);  // a view of a string literal
+  trace_.Push(e);
 }
 
 void Observer::WritebackError(uint64_t file, int64_t first_page, int64_t pages, bool lost) {
@@ -290,7 +310,7 @@ void Observer::WritebackError(uint64_t file, int64_t first_page, int64_t pages, 
   e.a = first_page;
   e.b = pages;
   e.level = lost ? 1 : 0;  // repurposed: 1 = pages dropped past the attempt cap
-  trace_.Push(std::move(e));
+  trace_.Push(e);
 }
 
 void Observer::ReplicaDegradedRead(std::string_view fs, int replica, int64_t bytes) {
@@ -301,8 +321,8 @@ void Observer::ReplicaDegradedRead(std::string_view fs, int replica, int64_t byt
   e.kind = TraceKind::kReplicaDegraded;
   e.level = replica;  // repurposed: replica index that served the read
   e.b = bytes;
-  e.tag = std::string(fs);
-  trace_.Push(std::move(e));
+  e.tag = TagName(fs);
+  trace_.Push(e);
 }
 
 void Observer::ReplicaStale(std::string_view fs, int replica, int64_t bytes) {
@@ -313,8 +333,8 @@ void Observer::ReplicaStale(std::string_view fs, int replica, int64_t bytes) {
   e.kind = TraceKind::kReplicaStale;
   e.level = replica;  // repurposed: replica index left stale
   e.b = bytes;
-  e.tag = std::string(fs);
-  trace_.Push(std::move(e));
+  e.tag = TagName(fs);
+  trace_.Push(e);
 }
 
 void Observer::ReplicaRecovery(std::string_view fs, int replica, int64_t bytes) {
@@ -325,8 +345,8 @@ void Observer::ReplicaRecovery(std::string_view fs, int replica, int64_t bytes) 
   e.kind = TraceKind::kReplicaRecovery;
   e.level = replica;  // repurposed: replica index re-synced
   e.b = bytes;
-  e.tag = std::string(fs);
-  trace_.Push(std::move(e));
+  e.tag = TagName(fs);
+  trace_.Push(e);
 }
 
 void Observer::ReplicaHedge(std::string_view fs, bool win) {
@@ -338,8 +358,8 @@ void Observer::ReplicaHedge(std::string_view fs, bool win) {
   e.at = clock_->Now();
   e.kind = TraceKind::kReplicaHedge;
   e.level = win ? 1 : 0;  // repurposed: 1 = the hedge won
-  e.tag = std::string(fs);
-  trace_.Push(std::move(e));
+  e.tag = TagName(fs);
+  trace_.Push(e);
 }
 
 void Observer::ProgInstall(int pid, uint64_t file, int kind) {
@@ -350,7 +370,7 @@ void Observer::ProgInstall(int pid, uint64_t file, int kind) {
   e.pid = pid;
   e.file = file;
   e.a = kind;  // repurposed: ProgKind ordinal
-  trace_.Push(std::move(e));
+  trace_.Push(e);
 }
 
 void Observer::ProgResubmit(int pid, uint64_t file, int64_t offset, int64_t bytes) {
@@ -362,7 +382,7 @@ void Observer::ProgResubmit(int pid, uint64_t file, int64_t offset, int64_t byte
   e.file = file;
   e.a = offset;
   e.b = bytes;
-  trace_.Push(std::move(e));
+  trace_.Push(e);
 }
 
 void Observer::ProgDone(int pid, uint64_t file, int kind, bool aborted, int64_t invocations,
@@ -381,7 +401,7 @@ void Observer::ProgDone(int pid, uint64_t file, int kind, bool aborted, int64_t 
   e.level = aborted ? 1 : 0;  // repurposed: 1 = resource bound hit
   e.a = kind;                 // repurposed: ProgKind ordinal
   e.b = resubmits;
-  trace_.Push(std::move(e));
+  trace_.Push(e);
 }
 
 std::string Observer::MetricsJson() const {

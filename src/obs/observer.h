@@ -10,7 +10,10 @@
 #ifndef SLEDS_SRC_OBS_OBSERVER_H_
 #define SLEDS_SRC_OBS_OBSERVER_H_
 
+#include <array>
 #include <cstdint>
+#include <functional>
+#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -21,6 +24,42 @@
 #include "src/obs/trace.h"
 
 namespace sled {
+
+// The instrumented syscalls. Each has one latency histogram,
+// "syscall.<SyscallName>", and tags its trace records with that name.
+enum class Syscall : uint8_t {
+  kOpen,
+  kCreat,
+  kClose,
+  kRead,
+  kMmapRead,
+  kProgInstall,
+  kProgRun,
+  kWrite,
+  kLseek,
+  kStat,
+  kFstat,
+  kReaddir,
+  kUnlink,
+  kFtruncate,
+  kFsync,
+  kIoctlSledsFill,
+  kIoctlSledsGet,
+  kIoctlSledsLock,
+  kIoctlSledsUnlock,
+};
+
+inline constexpr auto kSyscallNames = std::to_array<std::string_view>({
+    "open",  "creat", "close", "read",    "mmap_read", "prog_install", "prog_run",
+    "write", "lseek", "stat",  "fstat",   "readdir",   "unlink",       "ftruncate",
+    "fsync", "ioctl_sleds_fill", "ioctl_sleds_get", "ioctl_sleds_lock", "ioctl_sleds_unlock",
+});
+static_assert(static_cast<size_t>(Syscall::kIoctlSledsUnlock) + 1 == kSyscallNames.size(),
+              "one name per syscall");
+
+constexpr std::string_view SyscallName(Syscall call) {
+  return kSyscallNames[static_cast<size_t>(call)];
+}
 
 class Observer {
  public:
@@ -43,8 +82,8 @@ class Observer {
   int num_levels() const { return static_cast<int>(level_names_.size()); }
 
   // ---- hooks ----
-  void SyscallEnter(int pid, const char* name);
-  void SyscallExit(int pid, const char* name, Duration latency);
+  void SyscallEnter(int pid, Syscall call);
+  void SyscallExit(int pid, Syscall call, Duration latency);
   void PageIn(int pid, uint64_t file, int64_t first_page, int64_t pages, int level,
               Duration device_time);
   void Readahead(int pid, uint64_t file, int64_t first_page, int64_t pages);
@@ -109,11 +148,20 @@ class Observer {
  private:
   // "level.<id>.<suffix>", using the registered name when present.
   std::string LevelKey(int level, std::string_view suffix) const;
+  // A trace tag for `name` that lives as long as this Observer.
+  std::string_view TagName(std::string_view name);
 
   const SimClock* clock_;
   TraceRing trace_;
   MetricRegistry metrics_;
   std::vector<std::string> level_names_;
+  // Slots of metrics_ the per-syscall hooks record into, each bound at its
+  // key's first record (MetricRegistry::HistogramSlot, CounterSlot).
+  std::array<LatencyHistogram*, kSyscallNames.size()> syscall_latency_{};
+  int64_t* vfs_resolves_ = nullptr;
+  // The names trace tags view: one copy per distinct device, queue,
+  // file-system or error tag, in nodes that never move.
+  std::set<std::string, std::less<>> tag_names_;
 };
 
 }  // namespace sled

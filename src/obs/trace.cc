@@ -61,16 +61,6 @@ TraceRing::TraceRing(size_t capacity) : capacity_(capacity) {
   events_.reserve(capacity_);
 }
 
-void TraceRing::Push(TraceRecord event) {
-  if (events_.size() < capacity_) {
-    events_.push_back(std::move(event));
-  } else {
-    events_[head_] = std::move(event);
-    head_ = (head_ + 1) % capacity_;
-  }
-  ++total_;
-}
-
 std::vector<TraceRecord> TraceRing::Snapshot() const {
   std::vector<TraceRecord> out;
   out.reserve(events_.size());

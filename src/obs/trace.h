@@ -9,6 +9,9 @@
 // advances it. The ring has fixed capacity and drops the oldest events,
 // keeping a monotonic sequence number so drops are visible in dumps. All
 // rendering is integer-valued: two identical runs dump byte-identical text.
+//
+// Records are trivially copyable: a tag is a view, never an owned string, so
+// pushing one copies 72 bytes and allocates nothing.
 #ifndef SLEDS_SRC_OBS_TRACE_H_
 #define SLEDS_SRC_OBS_TRACE_H_
 
@@ -57,14 +60,27 @@ struct TraceRecord {
   int64_t a = 0;           // kind-specific: page / byte offset
   int64_t b = 0;           // kind-specific: page count / byte count
   Duration dur;            // service time or syscall latency, 0 when n/a
-  std::string tag;         // syscall or device name, may be empty
+  // Syscall, device, queue or file-system name, may be empty. A view of
+  // static storage or of a name its Observer owns for its whole lifetime
+  // (Observer::TagName); whoever pushes a record keeps its tag alive.
+  std::string_view tag;
 };
 
 class TraceRing {
  public:
   explicit TraceRing(size_t capacity);
 
-  void Push(TraceRecord event);
+  void Push(const TraceRecord& event) {
+    if (events_.size() < capacity_) {
+      events_.push_back(event);
+    } else {
+      events_[head_] = event;
+      if (++head_ == capacity_) {
+        head_ = 0;
+      }
+    }
+    ++total_;
+  }
 
   size_t size() const { return events_.size(); }
   size_t capacity() const { return capacity_; }

@@ -68,6 +68,8 @@ ShardWorldResult RunShardWorld(const ShardWorldConfig& config, ObsAccumulator* a
   const int64_t file_bytes = config.file_kib * kKiB;
   std::vector<Process*> procs;
   procs.reserve(static_cast<size_t>(config.processes));
+  // paths[p][f] is process p's file f, built once for the whole world.
+  std::vector<std::vector<std::string>> paths(static_cast<size_t>(config.processes));
   std::string chunk(16 * kKiB, 'x');
   for (int p = 0; p < config.processes; ++p) {
     // Appended piece by piece: GCC 12 at -O3 gives a false -Wrestrict for the
@@ -79,7 +81,8 @@ ShardWorldResult RunShardWorld(const ShardWorldConfig& config, ObsAccumulator* a
     Process& proc = kernel.CreateProcess(std::move(name));
     procs.push_back(&proc);
     for (int f = 0; f < config.files_per_process; ++f) {
-      const std::string path = FilePath(config.world_id, p, f);
+      paths[p].push_back(FilePath(config.world_id, p, f));
+      const std::string& path = paths[p].back();
       auto fd = kernel.Create(proc, path);
       SLED_CHECK(fd.ok(), "create %s failed", path.c_str());
       for (int64_t written = 0; written < file_bytes;) {
@@ -105,8 +108,7 @@ ShardWorldResult RunShardWorld(const ShardWorldConfig& config, ObsAccumulator* a
     Rng rng(DeriveSeed(world_seed, 0x1000 + static_cast<uint64_t>(p)));
     for (int64_t op = 0; op < config.ops_per_process; ++op) {
       const int f = static_cast<int>(rng.Uniform(0, config.files_per_process - 1));
-      const std::string path = FilePath(config.world_id, p, f);
-      auto fd = kernel.Open(proc, path);
+      auto fd = kernel.Open(proc, paths[p][f]);
       if (!fd.ok()) {
         continue;
       }

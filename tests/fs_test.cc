@@ -2,6 +2,7 @@
 // concrete file systems, and VFS path resolution.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 #include <string>
 
@@ -322,6 +323,82 @@ TEST(VfsTest, ListingShowsMountPoints) {
   for (const DirEntry& e : root) {
     EXPECT_NE(e.name, "cdrom");
   }
+}
+
+std::unique_ptr<ExtFs> MakeNamedFs(const char* name) {
+  return std::make_unique<ExtFs>(name, std::make_unique<DiskDevice>(DiskDeviceConfig{}));
+}
+
+// "/data" beside a root directory "/database", "/ssd", and "/mnt/cdrom"
+// nested in "/mnt": a mount matches whole path components only.
+void MountTree(Vfs& vfs) {
+  for (const char* path : {"/", "/data", "/ssd", "/mnt", "/mnt/cdrom"}) {
+    const char* name = path[1] == '\0' ? "root" : std::strrchr(path, '/') + 1;
+    ASSERT_TRUE(vfs.Mount(path, MakeNamedFs(name)).ok()) << path;
+  }
+  ASSERT_TRUE(vfs.CreateDir("/database").ok());
+  ASSERT_TRUE(vfs.CreateDir("/mnt/cdrom2").ok());
+}
+
+TEST(VfsTest, MountsMatchWholeComponentsAfterNormalizing) {
+  Vfs vfs;
+  ASSERT_NO_FATAL_FAILURE(MountTree(vfs));
+  for (const char* path : {"/database/x", "/data/x", "/ssd/x", "/mnt/x", "/mnt/cdrom/x",
+                           "/mnt/cdrom2/x"}) {
+    ASSERT_TRUE(vfs.CreateFile(path).ok()) << path;
+  }
+  const struct {
+    const char* path;
+    const char* fs;
+    const char* same_as;  // the plain spelling of the same inode
+  } cases[] = {
+      {"/database/x", "root", "/database/x"},   {"/data/x", "data", "/data/x"},
+      {"/data/../ssd/x", "ssd", "/ssd/x"},      {"//ssd//x/.", "ssd", "/ssd/x"},
+      {"/ssd/x/", "ssd", "/ssd/x"},             {"/ssd/", "ssd", "/ssd"},
+      {"/mnt/x", "mnt", "/mnt/x"},              {"/mnt/cdrom/x", "cdrom", "/mnt/cdrom/x"},
+      {"/mnt/cdrom/../x", "mnt", "/mnt/x"},     {"/mnt/cdrom2/x", "mnt", "/mnt/cdrom2/x"},
+      {"/../mnt/./cdrom//x", "cdrom", "/mnt/cdrom/x"},
+  };
+  for (const auto& c : cases) {
+    const auto r = vfs.Resolve(c.path);
+    ASSERT_TRUE(r.ok()) << c.path;
+    EXPECT_EQ(r.value().fs->name(), c.fs) << c.path;
+    EXPECT_EQ(r.value().ino, vfs.Resolve(c.same_as).value().ino) << c.path;
+  }
+  EXPECT_EQ(vfs.Resolve("/ssd").value().ino, vfs.Resolve("/ssd").value().fs->root());
+  EXPECT_EQ(vfs.Resolve("/dat/x").error(), Err::kNoEnt);
+  EXPECT_EQ(vfs.Resolve("/datab/x").error(), Err::kNoEnt);
+}
+
+// ResolveParent's leaf is the last component left after normalizing, and
+// its parent sits on the mount that holds it.
+TEST(VfsTest, CreateAndUnlinkTakeTheNormalizedLeaf) {
+  Vfs vfs;
+  ASSERT_NO_FATAL_FAILURE(MountTree(vfs));
+  const struct {
+    const char* path;
+    const char* fs;
+    const char* plain;
+  } cases[] = {
+      {"/database/x", "root", "/database/x"}, {"/data/x", "data", "/data/x"},
+      {"/data/../ssd/x", "ssd", "/ssd/x"},    {"//ssd//y/.", "ssd", "/ssd/y"},
+      {"/ssd/z/", "ssd", "/ssd/z"},           {"/mnt/cdrom/x", "cdrom", "/mnt/cdrom/x"},
+      {"/mnt/cdrom/../x", "mnt", "/mnt/x"},   {"/mnt/cdrom2/x", "mnt", "/mnt/cdrom2/x"},
+  };
+  for (const auto& c : cases) {
+    const auto created = vfs.CreateFile(c.path);
+    ASSERT_TRUE(created.ok()) << c.path;
+    EXPECT_EQ(created.value().fs->name(), c.fs) << c.path;
+    EXPECT_EQ(vfs.Resolve(c.plain).value().ino, created.value().ino) << c.path;
+    ASSERT_TRUE(vfs.Unlink(c.path).ok()) << c.path;
+    EXPECT_EQ(vfs.Resolve(c.plain).error(), Err::kNoEnt) << c.path;
+  }
+  // "/ssd/"'s leaf is "ssd" in the root file system's root, which holds no
+  // such entry: the mount point itself is not unlinked.
+  EXPECT_EQ(vfs.Unlink("/ssd/").error(), Err::kNoEnt);
+  EXPECT_EQ(vfs.Resolve("/ssd/").value().fs->name(), "ssd");
+  EXPECT_EQ(vfs.CreateFile("/").error(), Err::kInval);
+  EXPECT_EQ(vfs.CreateFile("/..").error(), Err::kInval);
 }
 
 TEST(VfsTest, MountVisibleDirectoryResolves) {

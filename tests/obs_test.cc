@@ -5,11 +5,13 @@
 
 #include <memory>
 #include <string>
+#include <type_traits>
 
 #include "src/device/disk_device.h"
 #include "src/fs/extent_file_system.h"
 #include "src/kernel/sim_kernel.h"
 #include "src/obs/metrics.h"
+#include "src/obs/observer.h"
 #include "src/obs/trace.h"
 
 namespace sled {
@@ -106,6 +108,46 @@ TEST(TraceRingTest, DropsOldestAndKeepsGlobalSequence) {
   EXPECT_EQ(tail.find("\n6,"), std::string::npos);
   EXPECT_NE(tail.find("\n8,"), std::string::npos);
   EXPECT_NE(tail.find("\n9,"), std::string::npos);
+
+  // A one-slot ring (KernelConfig::trace_events = 1) keeps the newest.
+  TraceRing one(1);
+  for (int i = 0; i < 3; ++i) {
+    TraceRecord e;
+    e.a = i;
+    one.Push(e);
+  }
+  ASSERT_EQ(one.size(), 1u);
+  EXPECT_EQ(one.dropped(), 2);
+  EXPECT_EQ(one.Snapshot()[0].a, 2);
+}
+
+// Records are copied into the ring as plain bytes; their tags are views.
+static_assert(std::is_trivially_copyable_v<TraceRecord> &&
+              std::is_trivially_destructible_v<TraceRecord>);
+
+// Tags view names the Observer keeps, never the caller's strings: every name
+// here is gone (and overwritten first) before the dump reads the records.
+TEST(ObserverTest, TraceTagsOutliveTheirSources) {
+  SimClock clock;
+  Observer obs(&clock);
+  {
+    std::string device = "a-disk-name-longer-than-sso";
+    std::string fs = "a-replicated-fs-longer-than-sso";
+    obs.DeviceTransfer(device, /*write=*/false, 4096, 8192, Microseconds(5), true);
+    obs.DeviceError(std::string("a-temporary-device-name"), /*write=*/true, Err::kIo);
+    obs.IoRetry(3, 7, 1, Err::kIo);
+    obs.ReplicaStale(fs, 2, 4096);
+    obs.DeviceTransfer(device, /*write=*/true, 0, 512, Microseconds(1), false);
+    device.assign(device.size(), '#');
+    fs.assign(fs.size(), '#');
+  }
+  EXPECT_EQ(obs.trace().DumpCsv(),
+            "seq,t_ns,kind,pid,level,file,a,b,dur_ns,tag\n"
+            "0,0,device_read,0,-1,0,4096,8192,5000,a-disk-name-longer-than-sso\n"
+            "1,0,device_error,0,1,0,0,0,0,a-temporary-device-name:EIO\n"
+            "2,0,io_retry,3,-1,7,1,0,0,EIO\n"
+            "3,0,replica_stale,0,2,0,0,4096,0,a-replicated-fs-longer-than-sso\n"
+            "4,0,device_write,0,-1,0,0,512,1000,a-disk-name-longer-than-sso\n");
 }
 
 // ---- kernel-level integration ----
@@ -177,6 +219,59 @@ TEST(ObserverKernelTest, HooksCoverSyscallsDevicesAndLevels) {
   EXPECT_TRUE(saw_pagein);
   EXPECT_TRUE(saw_device_read);
   EXPECT_TRUE(saw_syscall_exit);
+}
+
+// The whole-file and the ranged FSLEDS_GET are one syscall: one histogram
+// counts both call sites.
+TEST(ObserverKernelTest, BothSledsGetCallSitesShareOneHistogram) {
+  World w = MakeWorld();
+  SimKernel& k = *w.kernel;
+  const std::string data(8 * kPageSize, 'g');
+  const int fd = k.Create(*w.proc, "/g").value();
+  ASSERT_TRUE(k.Write(*w.proc, fd, std::span<const char>(data.data(), data.size())).ok());
+  ASSERT_TRUE(k.IoctlSledsGet(*w.proc, fd).ok());
+  ASSERT_TRUE(k.IoctlSledsGet(*w.proc, fd, 0, kPageSize).ok());
+  ASSERT_TRUE(k.IoctlSledsGet(*w.proc, fd, kPageSize, 2 * kPageSize).ok());
+  const LatencyHistogram* h = k.obs().metrics().histogram("syscall.ioctl_sleds_get");
+  ASSERT_NE(h, nullptr);
+  EXPECT_EQ(h->count(), 3);
+  int exits = 0;
+  for (const TraceRecord& e : k.obs().trace().Snapshot()) {
+    exits += e.kind == TraceKind::kSyscallExit && e.tag == "ioctl_sleds_get";
+  }
+  EXPECT_EQ(exits, 3);
+}
+
+// A key exists once something was recorded under it, and not before: a
+// kernel that only reads exports no write-side device key, and one that made
+// no syscall exports no syscall or resolve key.
+TEST(ObserverKernelTest, KeysAppearOnlyOnceRecorded) {
+  World w = MakeWorld();
+  SimKernel& k = *w.kernel;
+  const std::string before = k.obs().MetricsJson();
+  EXPECT_EQ(before.find("\"syscall."), std::string::npos);
+  EXPECT_EQ(before.find("\"vfs.resolves\""), std::string::npos);
+  // File contents placed below the kernel, so no syscall writes them.
+  const Vfs::Resolved file = k.vfs().CreateFile("/r").value();
+  const std::string data(16 * kPageSize, 'r');
+  ASSERT_TRUE(file.fs->WriteBytes(file.ino, 0, std::span<const char>(data)).ok());
+  const int fd = k.Open(*w.proc, "/r").value();
+  char buf[8192];
+  while (k.Read(*w.proc, fd, std::span<char>(buf, sizeof(buf))).value() > 0) {
+  }
+  ASSERT_TRUE(k.Close(*w.proc, fd).ok());
+  const MetricRegistry& m = k.obs().metrics();
+  EXPECT_GT(m.counter("dev.disk.reads"), 0);
+  EXPECT_NE(m.histogram("dev.disk.read_time"), nullptr);
+  const std::string json = k.obs().MetricsJson();
+  for (const char* key : {"\"dev.disk.writes\"", "\"dev.disk.bytes_written\"",
+                          "\"dev.disk.write_time\"", "\"syscall.write\"", "\"syscall.lseek\""}) {
+    EXPECT_EQ(json.find(key), std::string::npos) << key;
+  }
+  for (const char* key : {"\"syscall.open\"", "\"syscall.read\"", "\"syscall.close\""}) {
+    EXPECT_NE(json.find(key), std::string::npos) << key;
+  }
+  EXPECT_EQ(m.counter("vfs.resolves"), 1);
 }
 
 TEST(ObserverKernelTest, IdenticalRunsAreByteIdentical) {
