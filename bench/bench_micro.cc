@@ -8,9 +8,10 @@
 //  * A wall-clock suite (std::chrono, real time — NOT the simulated clock)
 //    that pits the run-indexed page cache against naive page-at-a-time
 //    replicas of the old algorithms, the FITS row kernels against
-//    one-value-at-a-time replicas, wc's count against its former block
-//    loop and the syscall hooks against their former string-keyed
-//    replica, and emits a BENCH_micro.json block.
+//    one-value-at-a-time replicas, wc's SSE2 count against its former
+//    block loop, its AVX2 count against the SSE2 one, and the syscall hooks
+//    against their former string-keyed replica, and emits a
+//    BENCH_micro.json block.
 //  * The google-benchmark registrations, run afterwards.
 #include <benchmark/benchmark.h>
 
@@ -544,7 +545,7 @@ struct KernelResults {
   return r;
 }
 
-// Replica of CountWcChunk's former loop: fixed 64-byte blocks that GCC
+// Replica of wc's former count loop: fixed 64-byte blocks that GCC
 // vectorizes by itself, each byte's space class computed twice (as a byte
 // and as the next byte's predecessor) and both sums folded after every block.
 // block[-1] decides whether block[0] starts a word; the first and the last
@@ -589,8 +590,9 @@ WcCounts BlockWcChunk(std::string_view data, bool in_word) {
 
 // wc's count in the apps' 64 KiB chunks, as the mmap and program variants
 // run it over the file store in place.
-template <typename Count>
-WcCounts CountInChunks(std::string_view text, Count&& count) {
+using WcCountFn = WcCounts (*)(std::string_view data, bool in_word);
+
+WcCounts CountInChunks(std::string_view text, WcCountFn count) {
   WcCounts total;
   for (size_t at = 0; at < text.size(); at += kDefaultAppBuffer) {
     const WcCounts c = count(text.substr(at, kDefaultAppBuffer), /*in_word=*/false);
@@ -600,37 +602,46 @@ WcCounts CountInChunks(std::string_view text, Count&& count) {
   return total;
 }
 
-// CountWcChunk against the replica, after checking that both give the same
-// counts: over one L2-resident 64 KiB buffer (a read() variant's user
-// buffer), best of 100 samples of 16 calls, and over 64 MiB of generator
-// text in 64 KiB chunks, the stream its prefetch serves, best of 15 single
-// passes.
+// One L2-resident 64 KiB buffer (a read() variant's user buffer) and 64 MiB
+// of generator text, the stream the count's prefetch serves.
+struct WcInputs {
+  std::string buffer;
+  std::string stream;
+};
+
+WcInputs MakeWcInputs() {
+  const std::string text = GeneratedText();
+  WcInputs in{.buffer = text.substr(0, kDefaultAppBuffer), .stream = {}};
+  in.stream.reserve(64 * text.size());
+  for (int copy = 0; copy < 64; ++copy) {
+    in.stream += text;
+  }
+  return in;
+}
+
+// `kernel` against `naive`, after checking that both give the same counts:
+// over the buffer, best of 100 samples of 16 calls, and over the stream in
+// 64 KiB chunks, best of 15 single passes.
 struct WcResults {
   MicroResult in_cache;
   MicroResult stream;
 };
 
-[[gnu::noinline]] WcResults MeasureWcCount() {
-  const std::string text = GeneratedText();
-  const std::string buffer = text.substr(0, kDefaultAppBuffer);
-  std::string stream;
-  stream.reserve(64 * text.size());
-  for (int copy = 0; copy < 64; ++copy) {
-    stream += text;
-  }
+[[gnu::noinline]] WcResults MeasureWcCount(const WcInputs& in, WcCountFn naive,
+                                           WcCountFn kernel) {
   const auto same = [](WcCounts a, WcCounts b) {
     return a.lines == b.lines && a.words == b.words;
   };
-  SLED_CHECK(same(BlockWcChunk(buffer, false), CountWcChunk(buffer, false)), "wc count mismatch");
-  SLED_CHECK(same(CountInChunks(stream, BlockWcChunk), CountInChunks(stream, CountWcChunk)),
+  SLED_CHECK(same(naive(in.buffer, false), kernel(in.buffer, false)), "wc count mismatch");
+  SLED_CHECK(same(CountInChunks(in.stream, naive), CountInChunks(in.stream, kernel)),
              "wc stream count mismatch");
   WcResults r;
   r.in_cache = PairedBest(
-      100, 16, 16, [&] { benchmark::DoNotOptimize(BlockWcChunk(buffer, false)); },
-      [&] { benchmark::DoNotOptimize(CountWcChunk(buffer, false)); });
+      100, 16, 16, [&] { benchmark::DoNotOptimize(naive(in.buffer, false)); },
+      [&] { benchmark::DoNotOptimize(kernel(in.buffer, false)); });
   r.stream = PairedBest(
-      15, 1, 1, [&] { benchmark::DoNotOptimize(CountInChunks(stream, BlockWcChunk)); },
-      [&] { benchmark::DoNotOptimize(CountInChunks(stream, CountWcChunk)); });
+      15, 1, 1, [&] { benchmark::DoNotOptimize(CountInChunks(in.stream, naive)); },
+      [&] { benchmark::DoNotOptimize(CountInChunks(in.stream, kernel)); });
   return r;
 }
 
@@ -835,25 +846,56 @@ class StringKeyedHooks {
   return PairedBest(100, 4, 4, naive, bound);
 }
 
+struct MicroEntry {
+  const char* name;
+  MicroResult result;
+  const char* skipped = nullptr;  // why the entry was not measured on this host
+};
+
 void RunWallClockSuite() {
   const MicroResult sleds = MeasureSledsGet();
   const MicroResult plan = MeasurePlanRun();
   const MicroResult dirty = MeasureAllDirty();
   const KernelResults kernels = MeasureRowKernels();
-  const WcResults wc = MeasureWcCount();
+  // The SSE2 body against the former block loop, and the AVX2 body against
+  // the SSE2 body, so that each ratio means the same on every host.
+  const char* no_avx2 = HostHasAvx2() ? nullptr
+                                      : "the host has no AVX2 and POPCNT, so CountWcChunk runs "
+                                        "the SSE2 body";
+  WcResults wc;
+  WcResults wc_avx2;
+  {
+    const WcInputs in = MakeWcInputs();
+    wc = MeasureWcCount(in, BlockWcChunk, CountWcChunkSse2);
+    if (no_avx2 == nullptr) {
+      wc_avx2 = MeasureWcCount(in, CountWcChunkSse2, CountWcChunkAvx2);
+    }
+  }
   const MicroResult hooks = MeasureSyscallHooks();
-  const std::pair<const char*, MicroResult> entries[] = {
-      {"sleds_get_sparse_32768p", sleds},        {"readahead_plan_sweep", plan},
-      {"all_dirty_pages_100k", dirty},           {"fits_decode_row_16k", kernels.decode},
-      {"histogram_minmax_16k", kernels.minmax}, {"histogram_bin_16k", kernels.bin},
-      {"wc_count_64k", wc.in_cache},             {"wc_count_64m", wc.stream},
-      {"syscall_hooks", hooks}};
+  const MicroEntry entries[] = {{"sleds_get_sparse_32768p", sleds},
+                                {"readahead_plan_sweep", plan},
+                                {"all_dirty_pages_100k", dirty},
+                                {"fits_decode_row_16k", kernels.decode},
+                                {"histogram_minmax_16k", kernels.minmax},
+                                {"histogram_bin_16k", kernels.bin},
+                                {"wc_count_64k", wc.in_cache},
+                                {"wc_count_64m", wc.stream},
+                                {"wc_count_avx2_64k", wc_avx2.in_cache, no_avx2},
+                                {"wc_count_avx2_64m", wc_avx2.stream, no_avx2},
+                                {"syscall_hooks", hooks}};
   std::string json = "{";
-  for (const auto& [name, r] : entries) {
-    char line[160];
-    std::snprintf(line, sizeof(line),
-                  "%s\n  \"%s\": {\"naive_us\": %.1f, \"indexed_us\": %.1f, \"speedup\": %.2f}",
-                  json.size() > 1 ? "," : "", name, r.naive_us, r.indexed_us, r.speedup());
+  for (const MicroEntry& e : entries) {
+    char line[256];
+    if (e.skipped != nullptr) {
+      std::snprintf(line, sizeof(line), "%s\n  \"%s\": {\"skipped\": \"%s\"}",
+                    json.size() > 1 ? "," : "", e.name, e.skipped);
+    } else {
+      std::snprintf(
+          line, sizeof(line),
+          "%s\n  \"%s\": {\"naive_us\": %.1f, \"indexed_us\": %.1f, \"speedup\": %.2f}",
+          json.size() > 1 ? "," : "", e.name, e.result.naive_us, e.result.indexed_us,
+          e.result.speedup());
+    }
     json += line;
   }
   json += "\n}";

@@ -138,12 +138,15 @@ rm -rf "${acc_json_dir}"
 if [[ "${SKIP_PERF:-}" == "1" ]]; then
   echo "==== perf stage skipped (SKIP_PERF=1) ===="
 else
-  echo "==== perf gate: Release bench_micro + bench_scale + bench_shard + bench_replica + bench_progs vs baselines ===="
+  echo "==== perf gate: Release build of every target, then bench_micro + bench_scale + bench_shard + bench_replica + bench_progs vs baselines ===="
   # Release compiles at -O3, where GCC warns about code that -O2 leaves
-  # alone (the SSE2 row kernels are inlined only here), so warnings fail this
-  # build too.
+  # alone (the SSE2 row kernels are inlined only here, and GCC 12's false
+  # -Wrestrict on an inlined "f" + std::to_string(i) shows only here), so
+  # warnings fail this build too. It builds every target (tests, benches,
+  # examples), so all code, the AVX2 count's target-attributed functions
+  # included, goes through -O3.
   cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release -DCMAKE_COMPILE_WARNING_AS_ERROR=ON >/dev/null
-  cmake --build build-release -j --target bench_micro bench_scale bench_shard bench_replica bench_progs
+  cmake --build build-release -j
   perf_json_dir="$(mktemp -d)"
   # Crash or hang in any bench fails the gate outright; the speedup
   # comparison below only runs once every JSON block exists.

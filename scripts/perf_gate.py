@@ -22,19 +22,27 @@ Refresh the baselines after an intentional perf change:
 For bench_shard the gated `speedup` is parallel efficiency (raw speedup per
 usable core), so the same baseline is meaningful on hosts with different core
 counts. On a host with fewer than 2 hardware threads it is 1 by construction,
-so the gate skips the shard entries there and prints why. One bench_shard or
-bench_scale run is too noisy to be a baseline, nor is one run of bench_micro:
-its cache-index entries (`sleds_get_sparse_32768p`, `readahead_plan_sweep`),
-row-kernel entries (`fits_decode_row_16k`, `histogram_minmax_16k`,
-`histogram_bin_16k`), wc-count entries (`wc_count_64k`, `wc_count_64m`) and
+so the gate skips the shard entries there and prints why. An entry that a
+bench reports as `{"skipped": "<reason>"}` passes the same way, with its
+reason printed: bench_micro skips its AVX2 entries on a host without AVX2.
+One bench_shard or bench_scale run is too noisy to be a baseline, nor is one
+run of bench_micro: its cache-index entries (`sleds_get_sparse_32768p`,
+`readahead_plan_sweep`), row-kernel entries (`fits_decode_row_16k`,
+`histogram_minmax_16k`, `histogram_bin_16k`), wc-count entries and
 syscall-boundary entry (`syscall_hooks`) each time interleaved samples of
-both sides, yet still move from run to run. After --refresh, set
-`benches.shard`, `benches.scale` and `benches.micro` to the median of at
-least 10 runs of their bench, and leave out any entry whose lowest run falls
-below its median * TOLERANCE (that entry would fail unchanged code).
-bench_micro's `all_dirty_pages_100k` is left out so: its replica waits on
-memory and its index on the core, so its ratio follows the host's core speed
-(1199-2492x over 20 runs).
+both sides, yet still move from run to run. The wc-count entries time each
+body of the count against the one before it, so that their ratios do not
+depend on which body the host runs: `wc_count_64k` (a 64 KiB buffer) and
+`wc_count_64m` (64 MiB in 64 KiB chunks) the SSE2 body against the former
+block loop, and `wc_count_avx2_64k` and `wc_count_avx2_64m` the AVX2 body
+against the SSE2 body. After --refresh, set `benches.shard`, `benches.scale`
+and `benches.micro` to the median of at least 10 runs of their bench, and
+leave out any entry whose lowest run falls below its median * TOLERANCE
+(that entry would fail unchanged code). Two bench_micro entries are left
+out so. `all_dirty_pages_100k`: its replica waits on memory and its index on
+the core, so its ratio follows the host's core speed (1199-2492x over 20
+runs). `histogram_minmax_16k`: its lowest run over the median read 0.633
+over 30 runs and 0.719 over the 10 behind the last re-base.
 
 Accuracy mode (`--accuracy <json_dir>`) gates the `error` fields of
 BENCH_estimate_accuracy.json (estimate-vs-access MAPE and end-to-end bias,
@@ -57,13 +65,16 @@ DEFAULT_BASELINES = os.path.join(REPO_ROOT, "bench", "baselines.json")
 
 
 def load_speedups(path):
-    """Return {workload: speedup} from one BENCH_*.json file."""
+    """Return {workload: speedup} from one BENCH_*.json file; a workload the
+    bench skipped maps to its reason, a string."""
     with open(path) as f:
         data = json.load(f)
     out = {}
     for key, value in data.items():
         if isinstance(value, dict) and "speedup" in value:
             out[key] = float(value["speedup"])
+        elif isinstance(value, dict) and "skipped" in value:
+            out[key] = str(value["skipped"])
     return out
 
 
@@ -113,9 +124,12 @@ def refresh(json_dir, baselines_path):
         "baselines (lower is better, ceiling baseline * %.2f); refresh with "
         "--refresh-accuracy <json_dir>" % (TOLERANCE, ACCURACY_TOLERANCE)
     )
-    payload["benches"] = collect(
-        json_dir, ["micro", "scale", "shard", "replica", "progs"]
-    )
+    payload["benches"] = {
+        bench: {k: v for k, v in workloads.items() if not isinstance(v, str)}
+        for bench, workloads in collect(
+            json_dir, ["micro", "scale", "shard", "replica", "progs"]
+        ).items()
+    }
     write_baselines(payload, baselines_path)
 
 
@@ -181,6 +195,9 @@ def check(json_dir, baselines_path):
             cur = current[bench].get(workload)
             if cur is None:
                 failures.append(f"{bench}/{workload}: missing from current run")
+                continue
+            if isinstance(cur, str):
+                print(f"  {bench}/{workload}: skipped — {cur}")
                 continue
             floor = base * TOLERANCE
             verdict = "ok" if cur >= floor else "REGRESSED"

@@ -287,16 +287,32 @@ struct WcCounts {
   int64_t words = 0;  // word starts
 };
 
-// wc's count over one chunk: the one loop behind both WcApp and the kCount
+// wc's count over one chunk: the one count behind both WcApp and the kCount
 // program. A word start is a non-space byte whose previous byte is a space;
 // the chunk's first byte is one only when `in_word` is false, i.e. when the
-// byte before the chunk was a space or there was none. One SSE2 pass: per
-// 16-byte vector a space mask, whose shift by one byte, carried across
-// vectors, marks the word starts; newlines and starts count in byte lanes
-// that are folded into 64-bit sums before any lane can wrap. It prefetches a
-// fixed distance ahead, and the last size % 16 bytes go through a stage
-// padded with spaces, so no load reads past the chunk.
+// byte before the chunk was a space or there was none. It runs
+// CountWcChunkAvx2 where HostHasAvx2(), else CountWcChunkSse2, chosen once
+// per process.
 WcCounts CountWcChunk(std::string_view data, bool in_word);
+
+// Whether this host runs AVX2 and POPCNT code, read once from CPUID.
+bool HostHasAvx2();
+
+// The two bodies of CountWcChunk, which give the same counts. Both prefetch
+// a fixed distance ahead, and each sends the chunk's last bytes through a
+// stage padded with spaces, so no load reads past the chunk.
+//
+// The SSE2 body is the x86-64 baseline and the tests' reference: per 16-byte
+// vector a space mask, whose shift by one byte, carried across vectors, marks
+// the word starts; newlines and starts count in byte lanes that are folded
+// into 64-bit sums before any lane can wrap.
+WcCounts CountWcChunkSse2(std::string_view data, bool in_word);
+
+// The AVX2 body, to be called only where HostHasAvx2(): per 64 bytes, a
+// 64-bit space mask and newline mask; word starts are the popcount of the
+// non-space bits whose predecessor bit (bit 63 of the mask before, for bit 0)
+// is a space, and newlines the popcount of the newline mask.
+WcCounts CountWcChunkAvx2(std::string_view data, bool in_word);
 
 }  // namespace sled
 

@@ -154,11 +154,41 @@ INSTANTIATE_TEST_SUITE_P(Sweep, WcPropertyTest,
                          ::testing::Combine(::testing::Values(1024, 4096, 65536, 100000),
                                             ::testing::Values(1u, 7u, 99u)));
 
-// The counting loop WcApp and the kCount program share, against the state
-// machine: every byte value (the six whitespace bytes, and bytes >= 0x80 seen
-// through a signed char), lengths across the 64-byte block edge, and every
-// split point with the in_word carry a sequential reader passes along.
-TEST(WcCountTest, SharedCounterMatchesNaiveAtEverySplit) {
+// One body of CountWcChunk. The AVX2 instance of each WcCountTest case skips
+// on a host without AVX2, where CountWcChunk runs the SSE2 body.
+struct WcBody {
+  const char* name;
+  WcCounts (*count)(std::string_view data, bool in_word);
+  bool avx2;
+};
+
+void PrintTo(const WcBody& body, std::ostream* os) { *os << body.name; }
+
+class WcCountTest : public ::testing::TestWithParam<WcBody> {
+ protected:
+  void SetUp() override {
+    if (GetParam().avx2 && !HostHasAvx2()) {
+      GTEST_SKIP() << "the host has no AVX2 and POPCNT, so CountWcChunk runs the SSE2 body";
+    }
+  }
+
+  static WcCounts Count(std::string_view data, bool in_word) {
+    return GetParam().count(data, in_word);
+  }
+};
+
+INSTANTIATE_TEST_SUITE_P(Bodies, WcCountTest,
+                         ::testing::Values(WcBody{"Sse2", CountWcChunkSse2, false},
+                                           WcBody{"Avx2", CountWcChunkAvx2, true}),
+                         [](const ::testing::TestParamInfo<WcBody>& body) {
+                           return std::string(body.param.name);
+                         });
+
+// The count WcApp and the kCount program share, against the state machine:
+// every byte value (the six whitespace bytes, and bytes >= 0x80 seen through
+// a signed char), lengths across the 64-byte block edge, and every split
+// point with the in_word carry a sequential reader passes along.
+TEST_P(WcCountTest, SharedCounterMatchesNaiveAtEverySplit) {
   constexpr std::string_view kSpaces = " \t\n\v\f\r";
   Rng rng(12);
   std::bitset<256> seen;
@@ -176,14 +206,14 @@ TEST(WcCountTest, SharedCounterMatchesNaiveAtEverySplit) {
       const std::string_view head = std::string_view(data).substr(0, split);
       const std::string_view tail = std::string_view(data).substr(split);
       const bool carry = !head.empty() && !NaiveIsSpace(head.back());
-      const WcCounts a = CountWcChunk(head, /*in_word=*/false);
-      const WcCounts b = CountWcChunk(tail, carry);
+      const WcCounts a = Count(head, /*in_word=*/false);
+      const WcCounts b = Count(tail, carry);
       ASSERT_EQ(a.lines + b.lines, expected.lines) << "len " << len << " split " << split;
       ASSERT_EQ(a.words + b.words, expected.words) << "len " << len << " split " << split;
     }
     // A carry into the first byte removes exactly the word it would start.
     const bool starts_word = !data.empty() && !NaiveIsSpace(data.front());
-    EXPECT_EQ(CountWcChunk(data, /*in_word=*/true).words, expected.words - (starts_word ? 1 : 0));
+    EXPECT_EQ(Count(data, /*in_word=*/true).words, expected.words - (starts_word ? 1 : 0));
   }
   EXPECT_TRUE(seen.all());
 }
@@ -202,12 +232,13 @@ HeapCopy ExactCopy(std::string_view text, size_t pad = 0) {
   return copy;
 }
 
-// CountWcChunk over `text`, with both carries, against the state machine.
-::testing::AssertionResult CountsMatchNaive(std::string_view text) {
+// The body under test over `text`, with both carries, against the state
+// machine.
+::testing::AssertionResult CountsMatchNaive(const WcBody& body, std::string_view text) {
   const WcResult expected = NaiveWc(text);
   const bool starts_word = !text.empty() && !NaiveIsSpace(text.front());
   for (const bool carry : {false, true}) {
-    const WcCounts c = CountWcChunk(text, carry);
+    const WcCounts c = body.count(text, carry);
     const int64_t words = expected.words - (carry && starts_word ? 1 : 0);
     if (c.lines != expected.lines || c.words != words) {
       return ::testing::AssertionFailure()
@@ -228,62 +259,87 @@ std::string Repeat(std::string_view unit, size_t length) {
   return out;
 }
 
-// The vector pass counts in byte lanes and folds them every 63 steps of 64
+// The SSE2 body counts in byte lanes and folds them every 63 steps of 64
 // bytes (4032 bytes), before a lane can wrap at 256. All newlines count one
 // in every lane of every vector, and "a " or " a" a word in every other lane,
 // the most a lane can take; 64 KiB crosses sixteen folds.
-TEST(WcCountTest, FullLanesFoldBeforeTheyWrap) {
+TEST_P(WcCountTest, FullLanesFoldBeforeTheyWrap) {
   constexpr size_t kFold = 63 * 64;
   for (const std::string_view unit : {"\n", "a ", " a", "a\n"}) {
     SCOPED_TRACE(testing::Message() << "unit '" << unit << "'");
     const HeapCopy full = ExactCopy(Repeat(unit, 64 * kKiB));
-    EXPECT_TRUE(CountsMatchNaive(full.view));
+    EXPECT_TRUE(CountsMatchNaive(GetParam(), full.view));
     for (size_t folds = 1; folds <= 3; ++folds) {
       for (const int64_t delta : {-17, -16, -15, -1, 0, 1, 15, 16, 17, 63, 64, 65}) {
         const auto length = static_cast<size_t>(static_cast<int64_t>(folds * kFold) + delta);
         const HeapCopy copy = ExactCopy(Repeat(unit, length));
-        EXPECT_TRUE(CountsMatchNaive(copy.view));
+        EXPECT_TRUE(CountsMatchNaive(GetParam(), copy.view));
       }
     }
   }
 }
 
-// Every misalignment of data.data() from a 16-byte boundary, over lengths
-// that end in every lane of a vector and in the staged tail.
-TEST(WcCountTest, EveryAlignmentAndLength) {
+// Every misalignment of data.data() from a 64-byte boundary, over lengths
+// that end in every lane of a vector, in every byte of a 64-byte step and in
+// every byte of the staged tail.
+TEST_P(WcCountTest, EveryAlignmentAndLength) {
   Rng rng(24);
-  std::bitset<16> offsets;
-  for (size_t length = 0; length <= 160; ++length) {
+  std::bitset<64> offsets;
+  for (size_t length = 0; length <= 200; ++length) {
     std::string text;
     for (size_t i = 0; i < length; ++i) {
       text.push_back(" \n\tab"[rng.Uniform(0, 4)]);
     }
-    for (size_t pad = 0; pad < 16; ++pad) {
+    for (size_t pad = 0; pad < 64; ++pad) {
       const HeapCopy copy = ExactCopy(text, pad);
-      offsets.set(reinterpret_cast<uintptr_t>(copy.view.data()) % 16);
-      ASSERT_TRUE(CountsMatchNaive(copy.view)) << "pad " << pad;
+      offsets.set(reinterpret_cast<uintptr_t>(copy.view.data()) % 64);
+      ASSERT_TRUE(CountsMatchNaive(GetParam(), copy.view)) << "pad " << pad;
     }
   }
   EXPECT_TRUE(offsets.all());
 }
 
 // The bytes next to the space class, and the class itself, alone in every
-// lane of a vector and of the staged tail, among spaces and among letters.
-TEST(WcCountTest, BytesBesideTheSpaceClassInEveryLane) {
+// lane of a vector and of the staged tail, in a 64-byte step and after one,
+// among spaces and among letters.
+TEST_P(WcCountTest, BytesBesideTheSpaceClassInEveryLane) {
   constexpr std::string_view kBytes = "\x08\x0e\x1f\x21\x7f\x80\xff \t\n\v\f\r";
   for (const char background : {' ', 'a', '\t'}) {
-    for (const size_t length : {size_t{16}, size_t{35}}) {
+    for (const size_t length : {size_t{16}, size_t{35}, size_t{64}, size_t{99}}) {
       for (size_t lane = 0; lane < length; ++lane) {
         for (const char b : kBytes) {
           std::string text(length, background);
           text[lane] = b;
           const HeapCopy copy = ExactCopy(text);
-          ASSERT_TRUE(CountsMatchNaive(copy.view))
+          ASSERT_TRUE(CountsMatchNaive(GetParam(), copy.view))
               << "byte " << static_cast<int>(static_cast<uint8_t>(b)) << " lane " << lane;
         }
       }
     }
   }
+}
+
+// CountWcChunk runs the body CPUID selects: the AVX2 body exactly where the
+// host reports AVX2 and POPCNT, and it returns what that body returns.
+TEST(WcCountDispatchTest, CountWcChunkRunsTheHostsBody) {
+  __builtin_cpu_init();
+  const bool avx2 = __builtin_cpu_supports("avx2") && __builtin_cpu_supports("popcnt");
+  EXPECT_EQ(HostHasAvx2(), avx2);
+  const WcBody selected = avx2 ? WcBody{"Avx2", CountWcChunkAvx2, true}
+                               : WcBody{"Sse2", CountWcChunkSse2, false};
+  std::string text(256 * kKiB + 37, ' ');
+  Rng rng(5);
+  FillTextLines(text, rng);
+  for (const size_t length : {size_t{0}, size_t{63}, size_t{4097}, text.size()}) {
+    const std::string_view chunk = std::string_view(text).substr(0, length);
+    for (const bool carry : {false, true}) {
+      const WcCounts want = selected.count(chunk, carry);
+      const WcCounts got = CountWcChunk(chunk, carry);
+      EXPECT_EQ(got.lines, want.lines) << "length " << length << " carry " << carry;
+      EXPECT_EQ(got.words, want.words) << "length " << length << " carry " << carry;
+    }
+  }
+  EXPECT_TRUE(CountsMatchNaive(selected, text));
 }
 
 TEST(GrepAppTest, FindsAllMatchesInOrder) {
