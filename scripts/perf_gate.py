@@ -22,7 +22,12 @@ Refresh the baselines after an intentional perf change:
 For bench_shard the gated `speedup` is parallel efficiency (raw speedup per
 usable core), so the same baseline is meaningful on hosts with different core
 counts. On a host with fewer than 2 hardware threads it is 1 by construction,
-so the gate skips the shard entries there and prints why. An entry that a
+so the gate skips the shard entries there and prints why. With glibc's
+default malloc thresholds it reads above 1: the 1-shard oracle runs every
+world on the main thread, whose heap glibc trims and re-faults once per
+world (half of the oracle's time on a 4-vCPU Xeon), while the workers'
+arenas keep their pages. The baselines include that, so a change that stops
+the re-faulting must re-base them. An entry that a
 bench reports as `{"skipped": "<reason>"}` passes the same way, with its
 reason printed: bench_micro skips its AVX2 entries on a host without AVX2.
 One bench_shard or bench_scale run is too noisy to be a baseline, nor is one
@@ -42,7 +47,13 @@ leave out any entry whose lowest run falls below its median * TOLERANCE
 out so. `all_dirty_pages_100k`: its replica waits on memory and its index on
 the core, so its ratio follows the host's core speed (1199-2492x over 20
 runs). `histogram_minmax_16k`: its lowest run over the median read 0.633
-over 30 runs and 0.719 over the 10 behind the last re-base.
+over 30 runs and 0.719 over the 10 behind the last re-base. A third,
+`wc_count_avx2_64m`, is left out because it cannot fail: over a 64 MiB
+stream the memory, not the body, sets most of the time, so its ratio sits
+near 1.26 and its floor near 0.95, below the 1.0 that an AVX2 body no
+faster than the SSE2 body reads (a build with the SSE2 body in its place
+read 0.98-0.99 and passed). `wc_count_avx2_64k`, in cache, guards the AVX2
+body: the same build fails it.
 
 Accuracy mode (`--accuracy <json_dir>`) gates the `error` fields of
 BENCH_estimate_accuracy.json (estimate-vs-access MAPE and end-to-end bias,

@@ -9,22 +9,20 @@
 namespace sled {
 namespace {
 
-// Pass 1: byte-for-byte copy of the whole input file (header + data unit).
+// Pass 1: byte-for-byte copy of the whole input file (header + data unit),
+// 64 KiB per read() and write(), straight from the input's store to the
+// output's.
 Result<void> CopyFile(SimKernel& kernel, Process& process, int in_fd, std::string_view output,
                       int* out_fd) {
   SLED_ASSIGN_OR_RETURN(*out_fd, kernel.Create(process, output));
   SLED_RETURN_IF_ERROR(kernel.Lseek(process, in_fd, 0, Whence::kSet));
-  std::vector<char> buf(static_cast<size_t>(64 * kKiB));
   while (true) {
-    SLED_ASSIGN_OR_RETURN(int64_t n,
-                          kernel.Read(process, in_fd, std::span<char>(buf.data(), buf.size())));
-    if (n == 0) {
+    SLED_ASSIGN_OR_RETURN(std::string_view chunk, kernel.ReadView(process, in_fd, 64 * kKiB));
+    if (chunk.empty()) {
       return Result<void>::Ok();
     }
-    SLED_ASSIGN_OR_RETURN(
-        int64_t w, kernel.Write(process, *out_fd,
-                                std::span<const char>(buf.data(), static_cast<size_t>(n))));
-    if (w != n) {
+    SLED_ASSIGN_OR_RETURN(int64_t w, kernel.Write(process, *out_fd, chunk));
+    if (w != static_cast<int64_t>(chunk.size())) {
       return Err::kIo;
     }
   }

@@ -172,11 +172,11 @@ Result<ChainResult> FindApp::RunChain(SimKernel& kernel, Process& process, std::
     return result;
   }
 
-  // Userspace oracle: two syscalls (lseek + read) and one buffer copy per
-  // hop — exactly the per-hop cost the completion program eliminates.
+  // Userspace oracle: two syscalls (lseek + read) and one simulated user
+  // copy per hop — exactly the per-hop cost the completion program
+  // eliminates.
   ChainResult result;
   result.chain_hash = ProgResult().chain_hash;  // shared FNV-1a basis
-  std::vector<char> buf(static_cast<size_t>(options.block_bytes));
   SLED_ASSIGN_OR_RETURN(InodeAttr attr, kernel.Fstat(process, fd));
   int64_t offset = options.start_offset;
   for (int64_t hop = 0; offset >= 0; ++hop) {
@@ -185,20 +185,21 @@ Result<ChainResult> FindApp::RunChain(SimKernel& kernel, Process& process, std::
       return Err::kInval;
     }
     SLED_RETURN_IF_ERROR(kernel.Lseek(process, fd, offset, Whence::kSet));
-    SLED_ASSIGN_OR_RETURN(
-        int64_t n, kernel.Read(process, fd, std::span<char>(buf.data(), buf.size())));
+    SLED_ASSIGN_OR_RETURN(std::string_view block,
+                          kernel.ReadView(process, fd, options.block_bytes));
+    const int64_t n = static_cast<int64_t>(block.size());
     if (n != options.block_bytes) {
       (void)kernel.Close(process, fd);
       return Err::kIo;
     }
     kernel.ChargeAppCpu(process, options.costs.chain_per_byte * n);
-    const int64_t next = ChainReadI64Le(buf.data());
-    const int64_t name_len = ChainReadI64Le(buf.data() + 8);
+    const int64_t next = ChainReadI64Le(block.data());
+    const int64_t name_len = ChainReadI64Le(block.data() + 8);
     if (name_len < 0 || 16 + name_len > n) {
       (void)kernel.Close(process, fd);
       return Err::kInval;
     }
-    const std::string_view name(buf.data() + 16, static_cast<size_t>(name_len));
+    const std::string_view name = block.substr(16, static_cast<size_t>(name_len));
     ++result.blocks_visited;
     for (char c : name) {
       result.chain_hash = (result.chain_hash ^ static_cast<uint8_t>(c)) * 1099511628211ULL;

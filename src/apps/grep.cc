@@ -249,7 +249,6 @@ Result<GrepResult> GrepApp::Run(SimKernel& kernel, Process& process, std::string
     return result;
   }
   SLED_ASSIGN_OR_RETURN(int fd, kernel.Open(process, path));
-  std::vector<char> buf(static_cast<size_t>(options.buffer_bytes));
   std::vector<GrepMatch> matches;
   std::vector<RunScanner::RunInfo> runs;
   RunScanner scanner(pattern, options, &matches);
@@ -266,14 +265,14 @@ Result<GrepResult> GrepApp::Run(SimKernel& kernel, Process& process, std::string
   if (!options.use_sleds) {
     scanner.StartRun(0);
     while (!done) {
-      SLED_ASSIGN_OR_RETURN(int64_t n,
-                            kernel.Read(process, fd, std::span<char>(buf.data(), buf.size())));
-      if (n == 0) {
+      SLED_ASSIGN_OR_RETURN(std::string_view data,
+                            kernel.ReadView(process, fd, options.buffer_bytes));
+      if (data.empty()) {
         done = scanner.FinishRun();
         break;
       }
-      charge(n);
-      done = scanner.Feed(std::string_view(buf.data(), static_cast<size_t>(n)));
+      charge(static_cast<int64_t>(data.size()));
+      done = scanner.Feed(data);
     }
     runs.push_back(scanner.TakeRunInfo());
   } else {
@@ -305,16 +304,14 @@ Result<GrepResult> GrepApp::Run(SimKernel& kernel, Process& process, std::string
         in_run = true;
       }
       SLED_RETURN_IF_ERROR(kernel.Lseek(process, fd, pick.offset, Whence::kSet));
-      SLED_ASSIGN_OR_RETURN(
-          int64_t n, kernel.Read(process, fd,
-                                 std::span<char>(buf.data(), static_cast<size_t>(pick.length))));
-      if (n != pick.length) {
+      SLED_ASSIGN_OR_RETURN(std::string_view data, kernel.ReadView(process, fd, pick.length));
+      if (static_cast<int64_t>(data.size()) != pick.length) {
         // Error path: fd cleanup is best-effort; the original error is the story.
         (void)kernel.Close(process, fd);
         return Err::kIo;
       }
-      charge(n);
-      done = scanner.Feed(std::string_view(buf.data(), static_cast<size_t>(n)));
+      charge(pick.length);
+      done = scanner.Feed(data);
       if (done) {
         runs.push_back(scanner.TakeRunInfo());
       }

@@ -33,18 +33,15 @@ ChunkCount CountChunk(int64_t offset, std::string_view data) {
   return c;
 }
 
-// Fetch [offset, offset+length) either by read() into `buf` or through the
-// mmap path; returns a view of the bytes.
+// Fetch [offset, offset+length) through read() or the mmap path; either
+// way the bytes are a view of the file in the store.
 Result<std::string_view> FetchChunk(SimKernel& kernel, Process& process, int fd, int64_t offset,
-                                    int64_t length, bool use_mmap, std::vector<char>* buf) {
+                                    int64_t length, bool use_mmap) {
   if (use_mmap) {
     return kernel.MmapRead(process, fd, offset, length);
   }
   SLED_RETURN_IF_ERROR(kernel.Lseek(process, fd, offset, Whence::kSet));
-  SLED_ASSIGN_OR_RETURN(
-      int64_t n,
-      kernel.Read(process, fd, std::span<char>(buf->data(), static_cast<size_t>(length))));
-  return std::string_view(buf->data(), static_cast<size_t>(n));
+  return kernel.ReadView(process, fd, length);
 }
 
 }  // namespace
@@ -79,7 +76,6 @@ Result<WcResult> WcApp::Run(SimKernel& kernel, Process& process, std::string_vie
     return WcResult{run->lines, run->words, run->bytes};
   }
   SLED_ASSIGN_OR_RETURN(int fd, kernel.Open(process, path));
-  std::vector<char> buf(static_cast<size_t>(options.buffer_bytes));
   std::vector<ChunkCount> chunks;
 
   if (!options.use_sleds) {
@@ -89,7 +85,7 @@ Result<WcResult> WcApp::Run(SimKernel& kernel, Process& process, std::string_vie
     while (offset < attr.size) {
       const int64_t want = std::min(options.buffer_bytes, attr.size - offset);
       SLED_ASSIGN_OR_RETURN(std::string_view data, FetchChunk(kernel, process, fd, offset, want,
-                                                              options.use_mmap, &buf));
+                                                              options.use_mmap));
       if (data.empty()) {
         break;
       }
@@ -111,7 +107,7 @@ Result<WcResult> WcApp::Run(SimKernel& kernel, Process& process, std::string_vie
       }
       SLED_ASSIGN_OR_RETURN(std::string_view data,
                             FetchChunk(kernel, process, fd, pick.offset, pick.length,
-                                       options.use_mmap, &buf));
+                                       options.use_mmap));
       if (static_cast<int64_t>(data.size()) != pick.length) {
         // Error path: fd cleanup is best-effort; the original error is the story.
         (void)kernel.Close(process, fd);

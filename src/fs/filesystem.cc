@@ -134,24 +134,6 @@ Result<InodeAttr> FileSystem::GetAttr(InodeNum ino) const {
   return attr;
 }
 
-Result<int64_t> FileSystem::ReadBytes(InodeNum ino, int64_t offset,
-                                      std::span<char> dst) const {
-  SLED_ASSIGN_OR_RETURN(const Inode* node, FindInode(ino));
-  if (node->is_dir) {
-    return Err::kIsDir;
-  }
-  if (offset < 0) {
-    return Err::kInval;
-  }
-  const int64_t size = static_cast<int64_t>(node->data.size());
-  if (offset >= size) {
-    return static_cast<int64_t>(0);
-  }
-  const int64_t n = std::min<int64_t>(static_cast<int64_t>(dst.size()), size - offset);
-  std::copy_n(node->data.data() + offset, n, dst.data());
-  return n;
-}
-
 Result<int64_t> FileSystem::WriteBytes(InodeNum ino, int64_t offset,
                                        std::span<const char> src) {
   SLED_RETURN_IF_ERROR(CheckWritable());
@@ -165,12 +147,32 @@ Result<int64_t> FileSystem::WriteBytes(InodeNum ino, int64_t offset,
       end > kMaxFileBytes) {
     return Err::kInval;  // rejected before any byte is copied or the size changes
   }
-  const int64_t old_size = static_cast<int64_t>(node->data.size());
-  if (end > old_size) {
-    SLED_RETURN_IF_ERROR(OnResize(ino, old_size, end));
-    node->data.resize(static_cast<size_t>(end), '\0');
+  std::string& data = node->data;
+  const int64_t old_size = static_cast<int64_t>(data.size());
+  // `src` may view this file's own bytes (a ReadView or MmapRead of it): an
+  // append can move them and an overwrite can clobber them, so copy first.
+  std::string own;
+  if (std::less_equal<const char*>()(data.data(), src.data()) &&
+      std::less<const char*>()(src.data(), data.data() + data.size())) {
+    own.assign(src.data(), src.size());
+    src = own;
   }
-  std::copy(src.begin(), src.end(), node->data.begin() + offset);
+  if (end <= old_size) {
+    std::copy(src.begin(), src.end(), data.begin() + offset);
+    return static_cast<int64_t>(src.size());
+  }
+  SLED_RETURN_IF_ERROR(OnResize(ino, old_size, end));
+  // Grow first: a growing append would copy its bytes into the new buffer
+  // before freeing the old one, one write more at the process's peak. Then
+  // zero-fill only a hole before `offset`, overwrite up to the old EOF and
+  // append the rest.
+  data.reserve(static_cast<size_t>(end));
+  if (offset > old_size) {
+    data.resize(static_cast<size_t>(offset), '\0');
+  }
+  const size_t in_place = data.size() - static_cast<size_t>(offset);
+  std::copy_n(src.begin(), in_place, data.begin() + offset);
+  data.append(src.data() + in_place, src.size() - in_place);
   return static_cast<int64_t>(src.size());
 }
 

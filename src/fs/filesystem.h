@@ -78,16 +78,15 @@ class FileSystem {
   Result<InodeAttr> GetAttr(InodeNum ino) const;
 
   // ---- content plane (real bytes, no cost model) ----
-  // Copy out up to dst.size() bytes at `offset`; returns bytes copied (0 at
-  // or past EOF).
-  Result<int64_t> ReadBytes(InodeNum ino, int64_t offset, std::span<char> dst) const;
-  // Copy in, extending the file as needed.
+  // Copy in, extending the file as needed; a hole before `offset` reads as
+  // zeros. `src` may be a view of this file's own bytes.
   Result<int64_t> WriteBytes(InodeNum ino, int64_t offset, std::span<const char> src);
   Result<void> Truncate(InodeNum ino, int64_t new_size);
   int64_t SizeOf(InodeNum ino) const;
 
-  // Zero-copy view of the whole file's contents (mmap support). The view is
-  // invalidated by any operation that changes the file's size.
+  // Zero-copy view of the whole file's contents: the one way bytes leave the
+  // content plane (ReadView, MmapRead, programs). The view is invalidated by
+  // any operation that changes the file's size.
   Result<std::string_view> ContentView(InodeNum ino) const;
 
   // ---- data-plane cost model ----

@@ -530,9 +530,11 @@ int64_t SimKernel::PlanReadaheadRun(OpenFile& of, int64_t page, int64_t file_pag
 }
 
 template <typename Charge>
-Result<void> SimKernel::FaultRange(Process& p, OpenFile& of, int64_t first, int64_t last,
-                                   int64_t file_pages, Charge charge) {
-  for (int64_t page = first; page <= last; ++page) {
+Result<std::string_view> SimKernel::FaultView(Process& p, OpenFile& of, int64_t offset,
+                                              int64_t n, int64_t size, Charge charge) {
+  const int64_t file_pages = PagesFor(size);
+  const int64_t last = n > 0 ? (offset + n - 1) / kPageSize : -1;
+  for (int64_t page = offset / kPageSize; page <= last; ++page) {
     const PageKey key{of.fid, page};
     if (engine_on() && inflight_.contains(key)) {
       AwaitPage(p, key);  // readahead in flight for this page: block until it lands
@@ -549,58 +551,58 @@ Result<void> SimKernel::FaultRange(Process& p, OpenFile& of, int64_t first, int6
     }
     ChargeCpu(p, charge(page));
   }
-  return Result<void>::Ok();
+  p.stats().bytes_read += n;
+  SLED_ASSIGN_OR_RETURN(std::string_view content, FsOf(of)->ContentView(of.ino));
+  return content.substr(static_cast<size_t>(offset), static_cast<size_t>(n));
 }
 
 Result<int64_t> SimKernel::Read(Process& p, int fd, std::span<char> dst) {
+  SLED_ASSIGN_OR_RETURN(std::string_view view,
+                        ReadView(p, fd, static_cast<int64_t>(dst.size())));
+  std::copy(view.begin(), view.end(), dst.begin());
+  return static_cast<int64_t>(view.size());
+}
+
+Result<std::string_view> SimKernel::ReadView(Process& p, int fd, int64_t length) {
   SyscallScope sys(*this, p, Syscall::kRead);
   SLED_ASSIGN_OR_RETURN(OpenFile * of, FdOf(p, fd));
-  FileSystem* fs = FsOf(*of);
-  const int64_t size = fs->SizeOf(of->ino);
-  if (of->offset >= size || dst.empty()) {
-    return static_cast<int64_t>(0);
+  if (length < 0) {
+    return Err::kInval;
   }
-  const int64_t n = std::min<int64_t>(static_cast<int64_t>(dst.size()), size - of->offset);
-  SLED_ASSIGN_OR_RETURN(int64_t copied,
-                        fs->ReadBytes(of->ino, of->offset, dst.subspan(0, static_cast<size_t>(n))));
-  SLED_CHECK(copied == n, "short content read: %lld != %lld", static_cast<long long>(copied),
-             static_cast<long long>(n));
-
-  const int64_t read_end = of->offset + n;
+  const int64_t size = FsOf(*of)->SizeOf(of->ino);
+  const int64_t start = of->offset;
+  if (start >= size || length == 0) {
+    return std::string_view();
+  }
+  const int64_t end = start + std::min(length, size - start);
   const Duration mem_latency = SecondsF(config_.memory.latency.ToSeconds());
   const double mem_bw = config_.memory.bandwidth_bps;
-  // Each page costs the copy of its consumed bytes to user space.
+  // Each page costs the copy of its consumed bytes to user space, whether or
+  // not the host makes that copy.
   auto copy_cost = [&](int64_t page) {
-    const int64_t lo = std::max(of->offset, page * kPageSize);
-    const int64_t hi = std::min(read_end, (page + 1) * kPageSize);
+    const int64_t lo = std::max(start, page * kPageSize);
+    const int64_t hi = std::min(end, (page + 1) * kPageSize);
     return mem_latency + TransferTime(hi - lo, mem_bw);
   };
-  SLED_RETURN_IF_ERROR(FaultRange(p, *of, of->offset / kPageSize, (read_end - 1) / kPageSize,
-                                  PagesFor(size), copy_cost));
-  of->offset += n;
-  p.stats().bytes_read += n;
-  return n;
+  SLED_ASSIGN_OR_RETURN(std::string_view view,
+                        FaultView(p, *of, start, end - start, size, copy_cost));
+  of->offset = end;
+  return view;
 }
 
 Result<std::string_view> SimKernel::MmapRead(Process& p, int fd, int64_t offset,
                                              int64_t length) {
   SyscallScope sys(*this, p, Syscall::kMmapRead);
   SLED_ASSIGN_OR_RETURN(OpenFile * of, FdOf(p, fd));
-  FileSystem* fs = FsOf(*of);
-  const int64_t size = fs->SizeOf(of->ino);
+  const int64_t size = FsOf(*of)->SizeOf(of->ino);
   if (offset < 0 || length < 0) {
     return Err::kInval;
   }
   if (offset >= size || length == 0) {
     return std::string_view();
   }
-  const int64_t n = std::min(length, size - offset);
-  SLED_RETURN_IF_ERROR(FaultRange(p, *of, offset / kPageSize, (offset + n - 1) / kPageSize,
-                                  PagesFor(size),
-                                  [&](int64_t) { return config_.costs.mmap_touch_per_page; }));
-  p.stats().bytes_read += n;
-  SLED_ASSIGN_OR_RETURN(std::string_view content, fs->ContentView(of->ino));
-  return content.substr(static_cast<size_t>(offset), static_cast<size_t>(n));
+  return FaultView(p, *of, offset, std::min(length, size - offset), size,
+                   [&](int64_t) { return config_.costs.mmap_touch_per_page; });
 }
 
 Result<int64_t> SimKernel::InstallProgram(Process& p, int fd, const ProgSpec& spec) {
@@ -626,28 +628,21 @@ Result<ProgResult> SimKernel::RunProgram(Process& p, int fd) {
   }
   CompletionProgram& prog = it->second;
   const ProgSpec& spec = prog.spec();
-  FileSystem* fs = FsOf(*of);
-  const int64_t size = fs->SizeOf(of->ino);
+  const int64_t size = FsOf(*of)->SizeOf(of->ino);
 
   // One completed chunk: fault it in (demand paging, readahead, engine
   // submission, and — inside the FS — replica routing, all exactly as a
   // Read would), then run the program over the bytes in place. The program
   // body is priced per invocation plus its app-declared per-byte compute;
   // there is no crossing and no user copy — that is the entire win.
-  const int64_t file_pages = PagesFor(size);
   auto run_chunk = [&](int64_t off, int64_t len) -> Result<CompletionProgram::Action> {
-    if (len > 0) {
-      SLED_RETURN_IF_ERROR(
-          FaultRange(p, *of, off / kPageSize, (off + len - 1) / kPageSize, file_pages,
-                     [&](int64_t) { return config_.costs.prog_touch_per_page; }));
-    }
-    SLED_ASSIGN_OR_RETURN(std::string_view content, fs->ContentView(of->ino));
-    const std::string_view data =
-        content.substr(static_cast<size_t>(off), static_cast<size_t>(len));
+    SLED_ASSIGN_OR_RETURN(std::string_view data,
+                          FaultView(p, *of, off, len, size, [&](int64_t) {
+                            return config_.costs.prog_touch_per_page;
+                          }));
     ChargeCpu(p, config_.costs.prog_invoke_overhead +
                      Nanoseconds(std::llround(spec.step_cost_ns_per_byte *
                                               static_cast<double>(len))));
-    p.stats().bytes_read += len;
     return prog.OnComplete(off, data);
   };
 
@@ -677,7 +672,7 @@ Result<ProgResult> SimKernel::RunProgram(Process& p, int fd) {
     std::vector<std::pair<int64_t, int64_t>> plan;
     if (spec.order_by_sleds) {
       SLED_ASSIGN_OR_RETURN(SledVector sleds,
-                            BuildSleds(p, *of, 0, file_pages, size, spec.rank_by));
+                            BuildSleds(p, *of, 0, PagesFor(size), size, spec.rank_by));
       SortByPickOrder(sleds, spec.rank_by);
       for (const Sled& s : sleds) {
         const int64_t end = std::min(s.offset + s.length, size);

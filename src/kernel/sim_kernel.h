@@ -136,7 +136,15 @@ class SimKernel {
   // Open with O_CREAT|O_TRUNC semantics.
   Result<int> Create(Process& p, std::string_view path);
   Result<void> Close(Process& p, int fd);
+  // ReadView and one copy into `dst`.
   Result<int64_t> Read(Process& p, int fd, std::span<char> dst);
+  // read() without the host copy: everything Read does (the syscall, demand
+  // paging and readahead, the per-page user-copy charge, the offset advance,
+  // bytes_read) but the bytes come back as a view of the file in the store.
+  // Simulated time is Read's to the nanosecond. The view is clamped at EOF
+  // (empty at EOF or for length 0; a negative length is kInval) and, like
+  // MmapRead's, is invalidated by any operation that changes the file's size.
+  Result<std::string_view> ReadView(Process& p, int fd, int64_t length);
   // mmap-style access: fault in the pages of [offset, offset+length) exactly
   // as Read would (demand paging, readahead, fault accounting) but return a
   // zero-copy view instead of copying to a user buffer — no per-byte copy
@@ -255,22 +263,25 @@ class SimKernel {
   // wait to its I/O account and counting it as an I/O wait.
   void WaitUntil(Process& p, FileId file, TimePoint ready);
 
-  // The one demand-paging loop, shared by Read, MmapRead and RunProgram so
-  // every access path pays exactly what the page scan advertised. For each
-  // page of [first, last]: wait out an in-flight read, touch the page (a
-  // minor fault) or, on a miss, plan the readahead run starting there
-  // (PlanReadaheadRun grows the descriptor's window on a sequential miss and
-  // resets it on a jump), page it in, and move the readahead bookmark to the
-  // end of the run actually requested; then charge `charge(page)` of CPU to
-  // `p` — the caller's per-page copy or touch cost. Every page-in, Write's
-  // read-modify-write included, goes through PageInRun, which picks the
-  // synchronous PageIn (one store transfer; evicted dirty pages spill to the
-  // writeback queue) or the engine's EnginePageIn (demand pages in
-  // cache-bounded chunks, then an asynchronous readahead tail trimmed to the
-  // in-flight budget). Both return the run length they requested.
+  // The one demand-paging path, shared by ReadView, MmapRead and RunProgram
+  // so every access path pays exactly what the page scan advertised; they
+  // differ only in `charge` and in whether the offset moves. Faults in the
+  // `n` bytes at `offset` of a file of `size` bytes, counts them in
+  // bytes_read and returns a view of them in the store. For each page: wait
+  // out an in-flight read, touch the page (a minor fault) or, on a miss,
+  // plan the readahead run starting there (PlanReadaheadRun grows the
+  // descriptor's window on a sequential miss and resets it on a jump), page
+  // it in, and move the readahead bookmark to the end of the run actually
+  // requested; then charge `charge(page)` of CPU to `p` — the caller's
+  // per-page copy or touch cost. Every page-in, Write's read-modify-write
+  // included, goes through PageInRun, which picks the synchronous PageIn
+  // (one store transfer; evicted dirty pages spill to the writeback queue)
+  // or the engine's EnginePageIn (demand pages in cache-bounded chunks, then
+  // an asynchronous readahead tail trimmed to the in-flight budget). Both
+  // return the run length they requested.
   template <typename Charge>
-  Result<void> FaultRange(Process& p, OpenFile& of, int64_t first, int64_t last,
-                          int64_t file_pages, Charge charge);
+  Result<std::string_view> FaultView(Process& p, OpenFile& of, int64_t offset, int64_t n,
+                                     int64_t size, Charge charge);
   int64_t PlanReadaheadRun(OpenFile& of, int64_t page, int64_t file_pages);
   Result<int64_t> PageInRun(Process& p, const OpenFile& of, int64_t page, int64_t run,
                             int64_t demand);

@@ -1,7 +1,7 @@
 #include "src/sleds/picker.h"
 
 #include <algorithm>
-#include <cstring>
+#include <string_view>
 
 #include "src/common/log.h"
 
@@ -126,43 +126,36 @@ Result<void> SledsPicker::BuildPlan() {
 }
 
 Result<int64_t> SledsPicker::ScanForward(int64_t from, int64_t limit) {
-  std::vector<char> buf(static_cast<size_t>(kScanBlock));
   int64_t pos = from;
   while (pos < limit) {
     const int64_t want = std::min<int64_t>(kScanBlock, limit - pos);
     SLED_RETURN_IF_ERROR(kernel_.Lseek(process_, fd_, pos, Whence::kSet));
-    SLED_ASSIGN_OR_RETURN(
-        int64_t n, kernel_.Read(process_, fd_, std::span<char>(buf.data(),
-                                                               static_cast<size_t>(want))));
-    if (n <= 0) {
+    SLED_ASSIGN_OR_RETURN(std::string_view block, kernel_.ReadView(process_, fd_, want));
+    if (block.empty()) {
       break;
     }
-    const void* hit = std::memchr(buf.data(), options_.record_separator, static_cast<size_t>(n));
-    if (hit != nullptr) {
-      return pos + (static_cast<const char*>(hit) - buf.data()) + 1;
+    if (const size_t hit = block.find(options_.record_separator);
+        hit != std::string_view::npos) {
+      return pos + static_cast<int64_t>(hit) + 1;
     }
-    pos += n;
+    pos += static_cast<int64_t>(block.size());
   }
   return static_cast<int64_t>(-1);
 }
 
 Result<int64_t> SledsPicker::ScanBackward(int64_t from, int64_t limit) {
-  std::vector<char> buf(static_cast<size_t>(kScanBlock));
   int64_t end = from;
   while (end > limit) {
     const int64_t want = std::min<int64_t>(kScanBlock, end - limit);
     const int64_t start = end - want;
     SLED_RETURN_IF_ERROR(kernel_.Lseek(process_, fd_, start, Whence::kSet));
-    SLED_ASSIGN_OR_RETURN(
-        int64_t n, kernel_.Read(process_, fd_, std::span<char>(buf.data(),
-                                                               static_cast<size_t>(want))));
-    if (n <= 0) {
+    SLED_ASSIGN_OR_RETURN(std::string_view block, kernel_.ReadView(process_, fd_, want));
+    if (block.empty()) {
       break;
     }
-    for (int64_t i = n - 1; i >= 0; --i) {
-      if (buf[static_cast<size_t>(i)] == options_.record_separator) {
-        return start + i + 1;
-      }
+    if (const size_t hit = block.rfind(options_.record_separator);
+        hit != std::string_view::npos) {
+      return start + static_cast<int64_t>(hit) + 1;
     }
     end = start;
   }

@@ -101,7 +101,6 @@ ShardWorldResult RunShardWorld(const ShardWorldConfig& config, ObsAccumulator* a
   // under an active fault plan (check.sh's fault smoke runs the whole suite
   // with SLEDS_FAULT_SEED set); failures are part of the simulated outcome,
   // not harness errors, so results just absorb them.
-  std::vector<char> read_buf(32 * kKiB);
   std::string write_buf(8 * kKiB, 'y');
   for (int p = 0; p < config.processes; ++p) {
     Process& proc = *procs[p];
@@ -118,12 +117,11 @@ ShardWorldResult RunShardWorld(const ShardWorldConfig& config, ObsAccumulator* a
       if (roll < 45) {
         // Sequential chunk read from a random aligned start.
         (void)kernel.Lseek(proc, fd.value(), offset, Whence::kSet);
-        (void)kernel.Read(proc, fd.value(),
-                          std::span<char>(read_buf.data(), read_buf.size()));
+        (void)kernel.ReadView(proc, fd.value(), 32 * kKiB);
       } else if (roll < 65) {
         // Point read.
         (void)kernel.Lseek(proc, fd.value(), offset, Whence::kSet);
-        (void)kernel.Read(proc, fd.value(), std::span<char>(read_buf.data(), kPageSize));
+        (void)kernel.ReadView(proc, fd.value(), kPageSize);
       } else if (roll < 85) {
         // Dirtying overwrite; pages reach the device through writeback.
         (void)kernel.Lseek(proc, fd.value(), offset, Whence::kSet);

@@ -5,6 +5,8 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <tuple>
 
 #include "src/common/rng.h"
 #include "src/device/cdrom_device.h"
@@ -66,21 +68,12 @@ TEST(FileSystemTest, ContentRoundTrip) {
   ASSERT_TRUE(fs->WriteBytes(f, 0, std::span<const char>(payload.data(), payload.size())).ok());
   EXPECT_EQ(fs->SizeOf(f), static_cast<int64_t>(payload.size()));
 
-  std::string out(payload.size(), '\0');
-  const int64_t n = fs->ReadBytes(f, 0, std::span<char>(out.data(), out.size())).value();
-  EXPECT_EQ(n, static_cast<int64_t>(payload.size()));
-  EXPECT_EQ(out, payload);
+  EXPECT_EQ(fs->ContentView(f).value(), payload);
 
   // Sparse write past EOF zero-fills the gap.
   ASSERT_TRUE(fs->WriteBytes(f, 100, std::span<const char>(payload.data(), 5)).ok());
   EXPECT_EQ(fs->SizeOf(f), 105);
-  char gap = 'x';
-  (void)fs->ReadBytes(f, 50, std::span<char>(&gap, 1));
-  EXPECT_EQ(gap, '\0');
-
-  // Reads at and past EOF return 0.
-  EXPECT_EQ(fs->ReadBytes(f, 105, std::span<char>(out.data(), 1)).value(), 0);
-  EXPECT_EQ(fs->ReadBytes(f, 9999, std::span<char>(out.data(), 1)).value(), 0);
+  EXPECT_EQ(fs->ContentView(f).value()[50], '\0');
 }
 
 TEST(FileSystemTest, TruncateShrinksAndGrows) {
@@ -91,9 +84,7 @@ TEST(FileSystemTest, TruncateShrinksAndGrows) {
   ASSERT_TRUE(fs->Truncate(f, 100).ok());
   EXPECT_EQ(fs->SizeOf(f), 100);
   ASSERT_TRUE(fs->Truncate(f, 200).ok());
-  char c = 'x';
-  (void)fs->ReadBytes(f, 150, std::span<char>(&c, 1));
-  EXPECT_EQ(c, '\0');
+  EXPECT_EQ(fs->ContentView(f).value()[150], '\0');
 }
 
 TEST(ExtentAllocatorTest, ContiguousAllocationCoalesces) {
@@ -199,8 +190,7 @@ TEST(IsoFsTest, SealedFsRejectsMutation) {
   EXPECT_EQ(iso->Truncate(f, 0).error(), Err::kRofs);
   EXPECT_EQ(iso->Unlink(iso->root(), "f").error(), Err::kRofs);
   // Reading still works.
-  std::string out(8, '\0');
-  EXPECT_EQ(iso->ReadBytes(f, 0, std::span<char>(out.data(), out.size())).value(), 8);
+  EXPECT_EQ(iso->ContentView(f).value(), payload);
 }
 
 TEST(NfsFsTest, UsesNetworkDeviceCharacteristics) {
@@ -427,7 +417,7 @@ TEST(ExtentAllocatorTest, TruncateToZeroAndRegrow) {
   EXPECT_TRUE(fs->ReadPagesFromStore(f, 0, 4).ok());
 }
 
-TEST(FileSystemTest, ContentViewMatchesReadBytes) {
+TEST(FileSystemTest, ContentViewIsTheFilesBytes) {
   auto fs = MakeExtFs();
   const InodeNum f = fs->CreateFile(fs->root(), "f").value();
   const std::string payload = "zero copy view";
@@ -435,6 +425,62 @@ TEST(FileSystemTest, ContentViewMatchesReadBytes) {
   EXPECT_EQ(fs->ContentView(f).value(), payload);
   EXPECT_EQ(fs->ContentView(fs->root()).error(), Err::kIsDir);
   EXPECT_EQ(fs->ContentView(999).error(), Err::kNoEnt);
+}
+
+// WriteBytes against a std::string oracle: a write past EOF zero-fills the
+// hole before it, and bytes past the write's end stay as they were.
+void OracleWrite(std::string& oracle, int64_t offset, const std::string& data) {
+  if (oracle.size() < static_cast<size_t>(offset) + data.size()) {
+    oracle.resize(static_cast<size_t>(offset) + data.size(), '\0');
+  }
+  oracle.replace(static_cast<size_t>(offset), data.size(), data);
+}
+
+TEST(FileSystemTest, WriteBytesMatchesStringOracle) {
+  auto fs = MakeExtFs();
+  const InodeNum f = fs->CreateFile(fs->root(), "f").value();
+  std::string oracle;
+  auto write = [&](int64_t offset, const std::string& data) {
+    ASSERT_EQ(fs->WriteBytes(f, offset, data).value(), static_cast<int64_t>(data.size()));
+    OracleWrite(oracle, offset, data);
+    ASSERT_EQ(fs->ContentView(f).value(), oracle) << "after a write at " << offset;
+  };
+  write(0, "append to an empty file");
+  write(static_cast<int64_t>(oracle.size()), " and at EOF");
+  write(3, "overwrite");                                       // inside
+  write(static_cast<int64_t>(oracle.size()) - 4, "straddles EOF");
+  write(static_cast<int64_t>(oracle.size()) + 5000, "past a hole");
+  write(static_cast<int64_t>(oracle.size()), "");              // empty at EOF
+  write(static_cast<int64_t>(oracle.size()) + 3, "");          // empty past EOF
+  Rng rng(11);
+  for (int i = 0; i < 300; ++i) {
+    const int64_t size = static_cast<int64_t>(oracle.size());
+    std::string data(static_cast<size_t>(rng.Uniform(0, 9000)), '\0');
+    for (char& c : data) {
+      c = static_cast<char>(rng.Uniform(1, 255));
+    }
+    write(rng.Uniform(0, size + 6000), data);
+  }
+}
+
+// `src` may be a view of the same file: growing the file can move its bytes
+// and an overlapping overwrite would clobber them before they are read.
+TEST(FileSystemTest, WriteBytesFromAViewOfTheSameFile) {
+  auto fs = MakeExtFs();
+  const InodeNum f = fs->CreateFile(fs->root(), "f").value();
+  std::string oracle = "0123456789abcdefghij";
+  ASSERT_TRUE(fs->WriteBytes(f, 0, oracle).ok());
+  for (const auto& [from, len, to] : {std::tuple<int64_t, int64_t, int64_t>{0, 20, 20},
+                                      {5, 10, 7},
+                                      {10, 30, 0},
+                                      {0, 40, 35},
+                                      {20, 50, 200}}) {
+    const std::string_view src = fs->ContentView(f).value().substr(from, len);
+    const std::string copy(src);
+    ASSERT_TRUE(fs->WriteBytes(f, to, src).ok());
+    OracleWrite(oracle, to, copy);
+    ASSERT_EQ(fs->ContentView(f).value(), oracle) << from << " " << len << " " << to;
+  }
 }
 
 }  // namespace
